@@ -8,15 +8,15 @@ Exact arithmetic lives in the callers; kernels only ever see integers:
   denominator D.  Lukasiewicz is closed on that grid
   (max(0, a + b - D)); product comparisons cross-multiply, never divide.
 
-Two interchangeable implementations are provided: numba-compiled loops
-and vectorized numpy fallbacks.  Numba is used when it imports cleanly
-and the environment variable MAXMINCONV_DISABLE_NUMBA is unset or "0";
-the active path is reported by ``backend_name()``.
+The kernels are vectorized numpy: each scan enumerates its grid in
+chunks of flat indices, so the lex-first hit is found without a Python
+loop per candidate.  The witness scans of ``maxt`` (which the colorful
+meeting-point search in ``hull`` also goes through) and the brute-force
+oracles all run on them; ``backend_name()`` names the backend for run
+records.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -24,192 +24,9 @@ TAG_MIN = 0
 TAG_PRODUCT = 1
 TAG_LUKASIEWICZ = 2
 
-_DISABLED = os.environ.get("MAXMINCONV_DISABLE_NUMBA", "0") not in ("", "0")
-
-if _DISABLED:
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on the environment
-        HAS_NUMBA = False
-
 
 def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def _jit(func):
-    if HAS_NUMBA:
-        return njit(cache=True)(func)
-    return func
-
-
-# ---------------------------------------------------------------------------
-# loop kernels (numba when available)
-# ---------------------------------------------------------------------------
-
-
-@_jit
-def _combination_matches_loop(tag, denom, lam, x, ps, out):
-    """Mark candidates in ``ps`` equal to the combination of x under lam."""
-    m, d = x.shape
-    num_p = ps.shape[0]
-    for p in range(num_p):
-        if out[p]:
-            continue
-        good = True
-        for j in range(d):
-            best = np.int64(-1)
-            for i in range(m):
-                if tag == TAG_MIN:
-                    term = lam[i] if lam[i] < x[i, j] else x[i, j]
-                elif tag == TAG_PRODUCT:
-                    term = lam[i] * x[i, j]
-                else:
-                    term = lam[i] + x[i, j] - denom
-                    if term < 0:
-                        term = 0
-                if term > best:
-                    best = term
-            target = ps[p, j] * denom if tag == TAG_PRODUCT else ps[p, j]
-            if best != target:
-                good = False
-                break
-        if good:
-            out[p] = 1
-
-
-@_jit
-def _bf_hull_eval_loop(tag, denom, lam_vals, x, ps, top):
-    """Which candidate points are grid combinations of x. Returns uint8[P]."""
-    k = lam_vals.shape[0]
-    m = x.shape[0]
-    out = np.zeros(ps.shape[0], dtype=np.uint8)
-    idx = np.zeros(m, dtype=np.int64)
-    lam = np.zeros(m, dtype=np.int64)
-    while True:
-        mx = np.int64(-1)
-        for i in range(m):
-            lam[i] = lam_vals[idx[i]]
-            if lam[i] > mx:
-                mx = lam[i]
-        if mx == top:
-            _combination_matches_loop(tag, denom, lam, x, ps, out)
-        pos = m - 1
-        while pos >= 0 and idx[pos] == k - 1:
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        idx[pos] += 1
-    return out
-
-
-@_jit
-def _member_loop(tag, denom, q, gens, g0, g1, top, nums, dens):
-    """Residuated membership of q in the hull of gens[g0:g1]."""
-    d = q.shape[0]
-    any_top = False
-    for i in range(g0, g1):
-        k = i - g0
-        if tag == TAG_PRODUCT:
-            num = np.int64(1)
-            den = np.int64(1)
-            for j in range(d):
-                xij = gens[i, j]
-                if xij > q[j]:
-                    if q[j] * den < num * xij:
-                        num = q[j]
-                        den = xij
-            nums[k] = num
-            dens[k] = den
-            if num == den:
-                any_top = True
-        else:
-            lam = top
-            for j in range(d):
-                xij = gens[i, j]
-                if xij > q[j]:
-                    r = q[j] if tag == TAG_MIN else denom - xij + q[j]
-                    if r < lam:
-                        lam = r
-            nums[k] = lam
-            dens[k] = 1
-            if lam == top:
-                any_top = True
-    if not any_top:
-        return False
-    for j in range(d):
-        hit = False
-        for i in range(g0, g1):
-            k = i - g0
-            if tag == TAG_MIN:
-                term = nums[k] if nums[k] < gens[i, j] else gens[i, j]
-                if term > q[j]:
-                    return False
-                if term == q[j]:
-                    hit = True
-            elif tag == TAG_PRODUCT:
-                lhs = nums[k] * gens[i, j]
-                rhs = q[j] * dens[k]
-                if lhs > rhs:
-                    return False
-                if lhs == rhs:
-                    hit = True
-            else:
-                term = nums[k] + gens[i, j] - denom
-                if term < 0:
-                    term = 0
-                if term > q[j]:
-                    return False
-                if term == q[j]:
-                    hit = True
-        if not hit:
-            return False
-    return True
-
-
-@_jit
-def _scan_common_loop(tag, denom, grid, d, gens, offs, top):
-    """Lex-first grid point inside every listed hull; -1 when none."""
-    k = grid.shape[0]
-    npoly = offs.shape[0] - 1
-    max_gen = 0
-    for p in range(npoly):
-        size = offs[p + 1] - offs[p]
-        if size > max_gen:
-            max_gen = size
-    nums = np.zeros(max_gen, dtype=np.int64)
-    dens = np.zeros(max_gen, dtype=np.int64)
-    idx = np.zeros(d, dtype=np.int64)
-    q = np.zeros(d, dtype=np.int64)
-    flat = np.int64(0)
-    while True:
-        for j in range(d):
-            q[j] = grid[idx[j]]
-        ok = True
-        for p in range(npoly):
-            if not _member_loop(tag, denom, q, gens, offs[p], offs[p + 1], top, nums, dens):
-                ok = False
-                break
-        if ok:
-            return flat
-        pos = d - 1
-        while pos >= 0 and idx[pos] == k - 1:
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return np.int64(-1)
-        idx[pos] += 1
-        flat += 1
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
+    return "numpy"
 
 
 def _digits(flat: np.ndarray, base: int, width: int) -> np.ndarray:
@@ -221,10 +38,14 @@ def _digits(flat: np.ndarray, base: int, width: int) -> np.ndarray:
     return out
 
 
-def _bf_hull_eval_numpy(tag, denom, lam_vals, x, ps, top):
+def bf_hull_eval(tag: int, denom: int, lam_vals, x, ps, top: int):
+    """Grid-combination membership flags for each candidate row of ps."""
+    lam_vals = np.ascontiguousarray(lam_vals, dtype=np.int64)
+    x = np.ascontiguousarray(x, dtype=np.int64)
+    ps = np.ascontiguousarray(ps, dtype=np.int64)
     k = int(lam_vals.shape[0])
     m, d = x.shape
-    out = np.zeros(ps.shape[0], dtype=np.uint8)
+    out = np.zeros(ps.shape[0], dtype=bool)
     total = k**m
     chunk = max(1, 4_000_000 // max(1, m * d))
     targets = ps * denom if tag == TAG_PRODUCT else ps
@@ -242,13 +63,13 @@ def _bf_hull_eval_numpy(tag, denom, lam_vals, x, ps, top):
             terms = np.maximum(lam[:, :, None] + x[None, :, :] - denom, 0)
         z = terms.max(axis=1)
         eq = (z[:, None, :] == targets[None, :, :]).all(axis=2)
-        out |= eq.any(axis=0).astype(np.uint8)
+        out |= eq.any(axis=0)
         if out.all():
             break
     return out
 
 
-def _member_batch_numpy(tag, denom, qs, x, top):
+def _member_batch(tag, denom, qs, x, top):
     """Residuated membership of each row of qs in hull(x). Returns bool[n]."""
     qe = qs[:, None, :]
     xe = x[None, :, :]
@@ -282,7 +103,13 @@ def _member_batch_numpy(tag, denom, qs, x, top):
     return le & eq & has_top
 
 
-def _scan_common_numpy(tag, denom, grid, d, gens, offs, top):
+def scan_common(tag: int, denom: int, grid, d: int, gens, offs, top: int) -> int:
+    """Flat index of the lex-first common grid point, or -1."""
+    grid = np.ascontiguousarray(grid, dtype=np.int64)
+    gens = np.ascontiguousarray(gens, dtype=np.int64)
+    offs = np.ascontiguousarray(offs, dtype=np.int64)
+    if gens.size == 0:
+        raise ValueError("scan_common needs at least one generator")
     k = int(grid.shape[0])
     total = k**d
     npoly = offs.shape[0] - 1
@@ -293,7 +120,7 @@ def _scan_common_numpy(tag, denom, grid, d, gens, offs, top):
         ok = np.ones(n, dtype=bool)
         for p in range(npoly):
             x = gens[offs[p]:offs[p + 1]]
-            ok &= _member_batch_numpy(tag, denom, qs, x, top)
+            ok &= _member_batch(tag, denom, qs, x, top)
             if not ok.any():
                 break
         hits = np.nonzero(ok)[0]
@@ -301,40 +128,3 @@ def _scan_common_numpy(tag, denom, grid, d, gens, offs, top):
             return int(s + hits[0])
     return -1
 
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-
-def bf_hull_eval(tag: int, denom: int, lam_vals, x, ps, top: int):
-    """Grid-combination membership flags for each candidate row of ps."""
-    lam_vals = np.ascontiguousarray(lam_vals, dtype=np.int64)
-    x = np.ascontiguousarray(x, dtype=np.int64)
-    ps = np.ascontiguousarray(ps, dtype=np.int64)
-    if HAS_NUMBA:
-        return np.asarray(
-            _bf_hull_eval_loop(tag, np.int64(denom), lam_vals, x, ps, np.int64(top))
-        ).astype(bool)
-    return _bf_hull_eval_numpy(tag, denom, lam_vals, x, ps, top).astype(bool)
-
-
-def scan_common(tag: int, denom: int, grid, d: int, gens, offs, top: int) -> int:
-    """Flat index of the lex-first common grid point, or -1."""
-    grid = np.ascontiguousarray(grid, dtype=np.int64)
-    gens = np.ascontiguousarray(gens, dtype=np.int64)
-    offs = np.ascontiguousarray(offs, dtype=np.int64)
-    if gens.size == 0:
-        raise ValueError("scan_common needs at least one generator")
-    if HAS_NUMBA:
-        return int(
-            _scan_common_loop(tag, np.int64(denom), grid, np.int64(d), gens, offs, np.int64(top))
-        )
-    return int(_scan_common_numpy(tag, denom, grid, d, gens, offs, top))
-
-
-def member_batch(tag: int, denom: int, qs, gens, top: int):
-    """Residuated membership flags for a batch of candidate points."""
-    qs = np.ascontiguousarray(qs, dtype=np.int64)
-    gens = np.ascontiguousarray(gens, dtype=np.int64)
-    return _member_batch_numpy(tag, denom, qs, gens, top)

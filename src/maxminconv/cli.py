@@ -374,11 +374,12 @@ def _cmd_colorful_strong(inst: Instance, args: argparse.Namespace, ver: Verifier
         "witness in the colorful hull",
         _maxt_member(res.witness, selected, tn),
     )
+    # the meeting points come from the residuation scan, so they are
+    # re-checked with the independent sector-witness test
     for i, q in enumerate(res.meeting_points):
         ver.check(
             "meeting point %d common to conv(C) and its color" % i,
-            _maxt_member(q, c.generators, tn)
-            and _maxt_member(q, colors[i].generators, tn),
+            hull_member(q, c, bounds).member and hull_member(q, colors[i], bounds).member,
         )
     return {
         "witness": _fmt(res.witness),

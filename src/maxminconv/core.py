@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -60,10 +60,6 @@ def as_value(x: RationalLike) -> Fraction:
             % (x,)
         )
     raise TypeError("cannot interpret %r as a rational value" % (x,))
-
-
-def as_values(xs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(as_value(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -228,7 +224,3 @@ def common_denominator(values: Iterable[Fraction]) -> int:
 def format_value(v: Fraction) -> str:
     """Serialize a Fraction as 'p/q' (or plain 'p' for integers)."""
     return str(v)
-
-
-def parse_values(xs: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(as_value(x) for x in xs)

@@ -191,22 +191,13 @@ def _find_meeting_point(c: Polytope, cls: Polytope, bounds: SemiringBounds) -> P
     The search grid (all input coordinates plus the bounds) is exact for
     the min t-norm: hull membership only depends on how a point's
     coordinates interleave with the generator coordinates, so rounding a
-    common point down to the grid keeps it in both hulls.
+    common point down to the grid keeps it in both hulls.  The scan is
+    the shared witness scan of ``maxt`` under min on these bounds.
     """
+    from .maxt import _common_point
+
     grid = value_grid(list(c.coordinates()) + list(cls.coordinates()), bounds)
-    d = c.dim
-    idx = [0] * d
-    while True:
-        q = Point(tuple(grid[i] for i in idx))
-        if hull_member(q, c, bounds).member and hull_member(q, cls, bounds).member:
-            return q
-        j = d - 1
-        while j >= 0 and idx[j] == len(grid) - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return None
-        idx[j] += 1
+    return _common_point([c.generators, cls.generators], TNorm("min", bounds), grid)
 
 
 def colorful_strong(

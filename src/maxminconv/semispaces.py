@@ -236,8 +236,16 @@ def diagonal_closure_hyperplane(p: Point, index: int, bounds: SemiringBounds = U
             "index %d not valid for anchor %s; I(p) = %s"
             % (index, p, list(index_set(p, bounds)))
         )
-    v = p[0]
-    d = len(p)
+    return _diagonal_hyperplane(p[0], index, len(p), bounds)
+
+
+def _diagonal_hyperplane(v: Fraction, index: int, d: int, bounds: SemiringBounds) -> Hyperplane:
+    """Coefficients of { x : max_i x_i >= v } (index 0) or { x : x_index <= v }.
+
+    No index-set check: at v = hi or v = lo these are still hyperplanes
+    ({ max_i x_i = hi } and { x_index = lo }) even though the semispace
+    they close is not valid there.
+    """
     lo = bounds.lo
     if index == 0:
         a = tuple([v] * d + [lo])

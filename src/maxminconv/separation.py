@@ -26,7 +26,7 @@ from .semispaces import (
     Hyperplane,
     NotOnDiagonal,
     SemispaceId,
-    diagonal_closure_hyperplane,
+    _diagonal_hyperplane,
     index_set,
     sector_contains_box,
     semispace,
@@ -127,23 +127,15 @@ def condition_violation(b: Box, c: Polytope, bounds: SemiringBounds) -> Point | 
         return None
     frontier = order[:t]
     grid = value_grid(list(c.coordinates()) + list(b.coordinates()), bounds)
-    d = b.dim
-    idx = [0] * d
-    while True:
-        q = Point(tuple(grid[i] for i in idx))
+    for combo in itertools.product(grid, repeat=b.dim):
+        q = Point(combo)
         if (
             b.lower.leq(q)
             and any(q[i] > b.upper[i] for i in frontier)
             and hull_member(q, c, bounds).member
         ):
             return q
-        j = d - 1
-        while j >= 0 and idx[j] == len(grid) - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return None
-        idx[j] += 1
+    return None
 
 
 def sep_condition(b: Box, c: Polytope, bounds: SemiringBounds = UNIT) -> bool:
@@ -168,20 +160,11 @@ def _hull_point_in_box(b: Box, c: Polytope, bounds: SemiringBounds) -> Point | N
     """Grid-exact emptiness test for B intersect conv(C)."""
     grid = value_grid(list(c.coordinates()) + list(b.coordinates()), bounds)
     axes = [[v for v in grid if b.lower[i] <= v <= b.upper[i]] for i in range(b.dim)]
-    if any(not axis for axis in axes):
-        return None
-    idx = [0] * b.dim
-    while True:
-        q = Point(tuple(axes[i][idx[i]] for i in range(b.dim)))
+    for combo in itertools.product(*axes):
+        q = Point(combo)
         if hull_member(q, c, bounds).member:
             return q
-        j = b.dim - 1
-        while j >= 0 and idx[j] == len(axes[j]) - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return None
-        idx[j] += 1
+    return None
 
 
 def _anchor_scan(
@@ -190,22 +173,15 @@ def _anchor_scan(
     c: Polytope,
     bounds: SemiringBounds,
 ) -> SemispaceId | None:
-    idx = [0] * b.dim
-    while True:
-        a = Point(tuple(axes[i][idx[i]] for i in range(b.dim)))
+    for combo in itertools.product(*axes):
+        a = Point(combo)
         for i in index_set(a, bounds):
             s = semispace(a, i, bounds)
             if sector_contains_box(s, b.lower, b.upper) and all(
                 semispace_contains(s, g) for g in c
             ):
                 return s
-        j = b.dim - 1
-        while j >= 0 and idx[j] == len(axes[j]) - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return None
-        idx[j] += 1
+    return None
 
 
 def separate_box(b: Box, c: Polytope, bounds: SemiringBounds = UNIT) -> SemispaceId | NonSeparable:
@@ -253,7 +229,10 @@ def separate_by_hyperplane(
     Only diagonal points are supported (raises NotOnDiagonal otherwise).
     The hyperplane is the closure of a diagonal semispace anchored at the
     extremal generator value in the separating direction, which keeps
-    every generator on the hyperplane while p stays off it.
+    every generator on the hyperplane while p stays off it.  When that
+    value is a bound the semispace itself is not valid, but the same
+    coefficients still give a hyperplane: { max_i x_i = hi } or
+    { x_c = lo }.
     """
     if len(set(p.coords)) != 1:
         raise NotOnDiagonal("separate_by_hyperplane needs a diagonal point, got %s" % (p,))
@@ -271,6 +250,4 @@ def separate_by_hyperplane(
         c0 = i0 - 1
         w = max(g[c0] for g in c)
         assert w < v
-    anchor = Point(tuple([w] * p.dim))
-    h = diagonal_closure_hyperplane(anchor, i0, bounds)
-    return h
+    return _diagonal_hyperplane(w, i0, p.dim, bounds)

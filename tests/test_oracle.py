@@ -1,18 +1,24 @@
-"""Brute-force oracles and the integer kernel backends."""
+"""Brute-force oracles and the integer kernels."""
 
-import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
 from maxminconv import _kernels
-from maxminconv.core import MIN, PRODUCT, UNIT, PreconditionError, SemiringBounds
+from maxminconv.core import (
+    LUKASIEWICZ,
+    MIN,
+    PRODUCT,
+    UNIT,
+    PreconditionError,
+    SemiringBounds,
+    TNorm,
+    value_grid,
+)
 from maxminconv.geometry import Point, point, segment_contains, segment_point
 from maxminconv.hull import hull_member, polytope
 from maxminconv.koenig import Matrix, bottleneck_threshold
+from maxminconv.maxt import _common_point, _common_point_exact
 from maxminconv.oracle import (
     MAX_GENERATORS,
     MAX_GRID,
@@ -125,7 +131,7 @@ def test_brute_batch_matches_singles(rng):
 
 
 def test_brute_accel_flag_equivalence(rng):
-    """The numba/numpy path and the plain Fraction loop must agree."""
+    """The integer kernel path and the plain Fraction loop must agree."""
     for tnorm in (MIN, PRODUCT):
         for _ in range(15):
             p = random_point(rng, 2, den=4)
@@ -188,61 +194,39 @@ def test_brute_bottleneck_row_count():
 
 
 def test_backend_reports_a_known_name():
-    assert _kernels.backend_name() in ("numba", "numpy")
+    assert _kernels.backend_name() == "numpy"
 
 
-def test_numpy_fallback_matches_loop_kernels(rng):
-    """Both implementations of each kernel, same inputs, same outputs."""
-    import numpy as np
-
-    lam_vals = np.array([0, 2, 4, 5], dtype=np.int64)
-    x = np.array([[4, 1], [0, 5]], dtype=np.int64)
-    ps = np.array([[4, 5], [2, 2], [5, 5]], dtype=np.int64)
-    for tag, denom, top in ((_kernels.TAG_MIN, 1, 5), (_kernels.TAG_PRODUCT, 5, 5)):
-        a = _kernels._bf_hull_eval_loop(tag, denom, lam_vals, x, ps, top)
-        b = _kernels._bf_hull_eval_numpy(tag, denom, lam_vals, x, ps, top)
-        assert list(a) == list(b)
-
-    grid = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
-    gens = np.array([[1, 4], [3, 2], [2, 2], [4, 4]], dtype=np.int64)
-    offs = np.array([0, 2, 4], dtype=np.int64)
-    for tag, denom in ((_kernels.TAG_MIN, 1), (_kernels.TAG_LUKASIEWICZ, 5)):
-        a = _kernels._scan_common_loop(tag, denom, grid, 2, gens, offs, 5)
-        b = _kernels._scan_common_numpy(tag, denom, grid, 2, gens, offs, 5)
-        assert a == b
-
-
-def test_disable_flag_selects_numpy_and_agrees():
-    """A fresh interpreter with the env flag set must give equal answers."""
-    script = (
-        "import json\n"
-        "from fractions import Fraction\n"
-        "from maxminconv import _kernels\n"
-        "from maxminconv.geometry import point\n"
-        "from maxminconv.hull import polytope\n"
-        "from maxminconv.oracle import GridSpec, brute_hull_member\n"
-        "x = polytope([('0.2', '0.8'), ('0.8', '0.2')])\n"
-        "grid = GridSpec.from_inputs(list(x.generators), step=Fraction(1, 8))\n"
-        "flags = [brute_hull_member(point(a, b), x.generators, grid)\n"
-        "         for a in ('0.25', '0.5', '0.8')\n"
-        "         for b in ('0.25', '0.5', '0.8')]\n"
-        "print(json.dumps({'backend': _kernels.backend_name(), 'flags': flags}))\n"
-    )
-    env = dict(os.environ, MAXMINCONV_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    got = json.loads(out.stdout)
-    assert got["backend"] == "numpy"
-
-    from maxminconv.oracle import GridSpec as GS
-
-    x = polytope([("0.2", "0.8"), ("0.8", "0.2")])
-    grid = GS.from_inputs(list(x.generators), step=Fraction(1, 8))
-    here = [
-        brute_hull_member(point(a, b), x.generators, grid)
-        for a in ("0.25", "0.5", "0.8")
-        for b in ("0.25", "0.5", "0.8")
+def _random_groups(rng, d, bounds, den):
+    lo, hi = int(bounds.lo * den), int(bounds.hi * den)
+    return [
+        [
+            Point(tuple(Fraction(rng.randint(lo, hi), den) for _ in range(d)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        for _ in range(rng.randint(1, 3))
     ]
-    assert got["flags"] == here
+
+
+@pytest.mark.parametrize(
+    "tnorm, den, step",
+    [
+        (MIN, 8, None),
+        (TNorm("min", UNIT.extended()), 4, None),
+        (PRODUCT, 4, Fraction(1, 4)),
+        (LUKASIEWICZ, 4, Fraction(1, 4)),
+    ],
+    ids=["min-unit", "min-extended", "product", "lukasiewicz"],
+)
+def test_scan_kernel_matches_exact_common_point(rng, tnorm, den, step):
+    """The integer scan returns the lex-first point the Fraction scan finds."""
+    outcomes = set()
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        groups = _random_groups(rng, d, tnorm.bounds, den)
+        coords = [c for g in groups for q in g for c in q.coords]
+        grid = value_grid(coords, tnorm.bounds, step=step)
+        expected = _common_point_exact(groups, tnorm, grid)
+        assert _common_point(groups, tnorm, grid) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}

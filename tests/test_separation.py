@@ -261,6 +261,28 @@ def test_separate_by_hyperplane_multi_generator(rng):
         assert not hyperplane_contains(h, p)
 
 
+def test_separate_by_hyperplane_lowest_peak_at_hi():
+    # every generator peaks at hi, so the anchor sits on the upper bound
+    c = polytope([("1", "0.2"), ("0.3", "1")])
+    p = point("0.5", "0.5")
+    h = separate_by_hyperplane(p, c)
+    assert all(hyperplane_contains(h, g) for g in c)
+    assert not hyperplane_contains(h, p)
+    assert hyperplane_contains(h, point("0", "1"))
+    assert not hyperplane_contains(h, point("0.9", "0.9"))
+
+
+def test_separate_by_hyperplane_coordinate_at_lo():
+    # every generator has its first coordinate at lo: the set {x_1 = lo}
+    c = polytope([("0", "0.2"), ("0", "0.9")])
+    p = point("0.5", "0.5")
+    h = separate_by_hyperplane(p, c)
+    assert all(hyperplane_contains(h, g) for g in c)
+    assert not hyperplane_contains(h, p)
+    assert hyperplane_contains(h, point("0", "1"))
+    assert not hyperplane_contains(h, point("0.1", "0"))
+
+
 def test_separate_by_hyperplane_off_diagonal():
     with pytest.raises(NotOnDiagonal):
         separate_by_hyperplane(point("0.3", "0.6"), TWO_GEN)
