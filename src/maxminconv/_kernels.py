@@ -10,10 +10,10 @@ Exact arithmetic lives in the callers; kernels only ever see integers:
 
 The kernels are vectorized numpy: each scan enumerates its grid in
 chunks of flat indices, so the lex-first hit is found without a Python
-loop per candidate.  The witness scans of ``maxt`` (which the colorful
-meeting-point search in ``hull`` also goes through) and the brute-force
-oracles all run on them; ``backend_name()`` names the backend for run
-records.
+loop per candidate.  The product and Lukasiewicz witness scans of
+``maxt`` and the brute-force oracles run on them; min witness searches
+use cyclic projections in ``maxt`` instead and never reach
+``scan_common``.  ``backend_name()`` names the backend for run records.
 """
 
 from __future__ import annotations
@@ -69,8 +69,11 @@ def bf_hull_eval(tag: int, denom: int, lam_vals, x, ps, top: int):
     return out
 
 
-def _member_batch(tag, denom, qs, x, top):
-    """Residuated membership of each row of qs in hull(x). Returns bool[n]."""
+def _member_batch(tag, denom, qs, x):
+    """Residuated membership of each row of qs in hull(x). Returns bool[n].
+
+    Product or Lukasiewicz, on numerators over denom.
+    """
     qe = qs[:, None, :]
     xe = x[None, :, :]
     if tag == TAG_PRODUCT:
@@ -87,24 +90,22 @@ def _member_batch(tag, denom, qs, x, top):
         rhs = qe * best_d[:, :, None]
         has_top = (best_n == best_d).any(axis=1)
     else:
-        if tag == TAG_MIN:
-            res = np.where(xe <= qe, top, qe)
-        else:
-            res = np.where(xe <= qe, top, denom - xe + qe)
-        lam = res.min(axis=2)
-        if tag == TAG_MIN:
-            lhs = np.minimum(lam[:, :, None], xe)
-        else:
-            lhs = np.maximum(lam[:, :, None] + xe - denom, 0)
+        lam = np.where(xe <= qe, denom, denom - xe + qe).min(axis=2)
+        lhs = np.maximum(lam[:, :, None] + xe - denom, 0)
         rhs = np.broadcast_to(qe, lhs.shape)
-        has_top = (lam == top).any(axis=1)
+        has_top = (lam == denom).any(axis=1)
     le = (lhs <= rhs).all(axis=1).all(axis=1)
     eq = (lhs == rhs).any(axis=1).all(axis=1)
     return le & eq & has_top
 
 
-def scan_common(tag: int, denom: int, grid, d: int, gens, offs, top: int) -> int:
-    """Flat index of the lex-first common grid point, or -1."""
+def scan_common(tag: int, denom: int, grid, d: int, gens, offs) -> int:
+    """Flat index of the lex-first common grid point, or -1.
+
+    Product and Lukasiewicz only; min searches use cyclic projections.
+    """
+    if tag not in (TAG_PRODUCT, TAG_LUKASIEWICZ):
+        raise ValueError("scan_common runs product and Lukasiewicz only")
     grid = np.ascontiguousarray(grid, dtype=np.int64)
     gens = np.ascontiguousarray(gens, dtype=np.int64)
     offs = np.ascontiguousarray(offs, dtype=np.int64)
@@ -120,7 +121,7 @@ def scan_common(tag: int, denom: int, grid, d: int, gens, offs, top: int) -> int
         ok = np.ones(n, dtype=bool)
         for p in range(npoly):
             x = gens[offs[p]:offs[p + 1]]
-            ok &= _member_batch(tag, denom, qs, x, top)
+            ok &= _member_batch(tag, denom, qs, x)
             if not ok.any():
                 break
         hits = np.nonzero(ok)[0]

@@ -13,7 +13,8 @@ Exit codes, stable for scripting:
         object does not exist or was not found (point inside the hull,
         non-separable box, off-diagonal anchor, exhausted resolution,
         failed intersection hypothesis)
-    1   errors: bad schema, violated preconditions, failed verification
+    1   errors: bad schema, violated preconditions, failed verification,
+        internal errors (printed as a document with status "internal-error")
 """
 
 from __future__ import annotations
@@ -374,7 +375,7 @@ def _cmd_colorful_strong(inst: Instance, args: argparse.Namespace, ver: Verifier
         "witness in the colorful hull",
         _maxt_member(res.witness, selected, tn),
     )
-    # the meeting points come from the residuation scan, so they are
+    # the meeting points come from the residuation search, so they are
     # re-checked with the independent sector-witness test
     for i, q in enumerate(res.meeting_points):
         ver.check(
@@ -813,11 +814,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NEGATIVE
     except (NotOnDiagonal, NotFound, ResolutionExhausted) as exc:
         doc["outcome"] = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, (NotFound, ResolutionExhausted)):
+            doc["outcome"]["grid_step"] = _fmt(exc.grid_step)
+            doc["outcome"]["grid_size"] = exc.grid_size
         doc["status"] = "negative"
         print(json.dumps(doc, indent=2))
         return EXIT_NEGATIVE
     except (DomainError, PreconditionError, InvalidDiagram, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
+    except AssertionError as exc:
+        # soundness alarms, failed re-verifications and "this is a bug" checks
+        doc["outcome"] = {"type": type(exc).__name__, "message": str(exc)}
+        doc["status"] = "internal-error"
+        print(json.dumps(doc, indent=2))
+        print("error: internal error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 
     if args.command == "render" and "svg" in result and not args.svg:

@@ -35,8 +35,17 @@ class ResolutionExhausted(RuntimeError):
 
     Raised only for t-norms where grid search is a heuristic (product,
     Lukasiewicz).  For the min t-norm the search grids are exact, so this
-    error doubles as a soundness alarm there.
+    error doubles as a soundness alarm there.  ``grid_step`` and
+    ``grid_size``, the number of values per coordinate, name the grid
+    that was exhausted.
     """
+
+    def __init__(
+        self, message: str, grid_step: Fraction | None = None, grid_size: int | None = None
+    ):
+        super().__init__(message)
+        self.grid_step = grid_step
+        self.grid_size = grid_size
 
 
 def as_value(x: RationalLike) -> Fraction:

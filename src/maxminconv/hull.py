@@ -191,8 +191,9 @@ def _find_meeting_point(c: Polytope, cls: Polytope, bounds: SemiringBounds) -> P
     The search grid (all input coordinates plus the bounds) is exact for
     the min t-norm: hull membership only depends on how a point's
     coordinates interleave with the generator coordinates, so rounding a
-    common point down to the grid keeps it in both hulls.  The scan is
-    the shared witness scan of ``maxt`` under min on these bounds.
+    common point down to the grid keeps it in both hulls.  The search is
+    the shared min witness search of ``maxt`` on these bounds, cyclic
+    projections onto the two homogenized hulls.
     """
     from .maxt import _common_point
 

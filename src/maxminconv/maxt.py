@@ -2,17 +2,22 @@
 
 Membership for a max-T hull is decided by residuation and is exact for
 every built-in t-norm.  The Radon, Helly, centerpoint and Tverberg
-procedures search a finite coordinate grid for witnesses.  With the min
-t-norm the grid built from the input coordinates is exact: rounding any
-witness down to the grid keeps it in every hull at once, so a grid miss
-is a genuine miss.  The product and Lukasiewicz norms generate values
-off that grid; their searches refine the grid by a uniform rational
-step (default 1/100) and report a miss as ResolutionExhausted instead
-of claiming emptiness.
+procedures look for the lex-first witness on a finite coordinate grid.
+With the min t-norm the grid built from the input coordinates is exact:
+rounding any witness down to the grid keeps it in every hull at once,
+so a grid miss is a genuine miss.  Min searches do not enumerate the
+grid: cyclic projections onto the homogenized hulls give their greatest
+common point (Gaubert & Sergeev, "Cyclic projectors and separation
+theorems in idempotent convex geometry", 2008), each projection being
+the principal solution of Butkovic, "Max-linear Systems" (2010), and a
+binary search on coordinate caps turns it into the lex-first grid
+point.  The product and Lukasiewicz norms generate values off that
+grid; their searches scan a grid refined by a uniform rational step
+(default 1/100) on the integer kernels and report a miss as
+ResolutionExhausted, naming that grid, instead of claiming emptiness.
 
-Positive results never rely on the integer kernels alone: every witness
-coming back from a scan is re-verified coordinate by coordinate with
-exact rational arithmetic.
+Positive results never rely on the search alone: every witness is
+re-verified coordinate by coordinate with exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ def _validate(pts: Sequence[Point], tnorm: TNorm) -> None:
     for p in pts:
         _check_bounds(p, tnorm.bounds)
 
-_TAGS = {"min": _kernels.TAG_MIN, "product": _kernels.TAG_PRODUCT, "lukasiewicz": _kernels.TAG_LUKASIEWICZ}
+_TAGS = {"product": _kernels.TAG_PRODUCT, "lukasiewicz": _kernels.TAG_LUKASIEWICZ}
 
 
 class NotFound(Exception):
@@ -57,7 +62,16 @@ class NotFound(Exception):
 
     Only raised where existence is an open question; where a theorem
     guarantees a witness, exhaustion trips an AssertionError instead.
+    ``grid_step`` (None for the exact min grid) and ``grid_size``, the
+    number of values per coordinate, name the grid that was searched.
     """
+
+    def __init__(
+        self, message: str, grid_step: Fraction | None = None, grid_size: int | None = None
+    ):
+        super().__init__(message)
+        self.grid_step = grid_step
+        self.grid_size = grid_size
 
 
 @dataclass(frozen=True)
@@ -131,11 +145,12 @@ def hull_member_maxt(p: Point, x: Polytope, tnorm: TNorm = MIN) -> MaxTMembershi
 
 def _search_grid(
     points: Sequence[Point], tnorm: TNorm, grid_step: Fraction | None
-) -> tuple[Fraction, ...]:
+) -> tuple[tuple[Fraction, ...], Fraction | None]:
+    """The witness search grid and the step it was refined by."""
     if grid_step is None and not tnorm.is_min:
         grid_step = DEFAULT_STEP
     coords = [c for p in points for c in p.coords]
-    return value_grid(coords, tnorm.bounds, step=grid_step)
+    return value_grid(coords, tnorm.bounds, step=grid_step), grid_step
 
 
 def _common_point_exact(
@@ -149,49 +164,128 @@ def _common_point_exact(
     return None
 
 
+def _project(
+    y: tuple[int, ...], gens: Sequence[tuple[int, ...]], top: int
+) -> tuple[int, ...]:
+    """Greatest point of the semimodule spanned by gens lying below y.
+
+    The principal solution on rank integers: lam_i = min_j res(v_ij,
+    y_j) with res(a, b) = top if a <= b else b, then max_i min(lam_i, v_i).
+    """
+    lams = [min(top if a <= b else b for a, b in zip(v, y)) for v in gens]
+    return tuple(max(min(lam, a) for lam, a in zip(lams, col)) for col in zip(*gens))
+
+
+def _greatest_common_point(
+    groups: Sequence[Sequence[tuple[int, ...]]], y: tuple[int, ...], top: int
+) -> tuple[int, ...] | None:
+    """Greatest homogenized point below y in every group's semimodule.
+
+    Cycles the projections from y until a whole round leaves y fixed
+    (Gaubert & Sergeev's cyclic projectors).  Coordinates only decrease
+    and stay among the values of y and the generators, so the loop ends.
+    Returns None as soon as coordinate 0 drops below top: the fixed
+    point is then no homogenized hull point.
+    """
+    unchanged = 0
+    i = 0
+    while unchanged < len(groups):
+        z = _project(y, groups[i], top)
+        if z[0] != top:
+            return None
+        unchanged = unchanged + 1 if z == y else 1
+        y = z
+        i = (i + 1) % len(groups)
+    return y
+
+
+def _lex_first_min(
+    groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]
+) -> Point | None:
+    """Lex-first grid point in every min hull, found by cyclic projections.
+
+    Generator x becomes (top, x) on the ranks of the sorted grid.  The
+    hulls meet iff the greatest common point of these semimodules has
+    coordinate 0 at top, and its coordinates are grid values.  Coordinate
+    by coordinate, a binary search finds the smallest cap x_j <= v that
+    keeps the hulls meeting; the greatest point under the final caps is
+    the caps themselves, the lex-first witness.  Each run starts from the
+    last greatest point with the cap applied: projections only lower
+    coordinates, so the cap holds throughout and the run ends at the
+    greatest point under the new caps.  That takes O(d log k) runs.
+    """
+    values = sorted(set(grid))
+    rank = {v: i for i, v in enumerate(values)}
+    if tnorm.bounds.hi not in rank:
+        raise PreconditionError("search grid lacks the upper bound %s" % tnorm.bounds.hi)
+    top = rank[tnorm.bounds.hi]
+    try:
+        gens = [[(top, *(rank[c] for c in pt.coords)) for pt in g] for g in groups]
+    except KeyError as exc:
+        raise PreconditionError(
+            "generator coordinate %s is not on the search grid" % exc.args[0]
+        ) from None
+    d = groups[0][0].dim
+    y = _greatest_common_point(gens, (top,) * (d + 1), top)
+    if y is None:
+        return None
+    for j in range(1, d + 1):
+        lo, hi = 0, y[j]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            z = _greatest_common_point(gens, y[:j] + (mid,) + y[j + 1:], top)
+            if z is None:
+                lo = mid + 1
+            else:
+                hi, y = z[j], z
+    return Point(tuple(values[r] for r in y[1:]))
+
+
 def _common_point(
     groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]
 ) -> Point | None:
     """Lex-first grid point lying in the hull of every group, or None.
 
-    Runs on the integer kernels and re-verifies any hit with exact
-    rational arithmetic before returning it.
+    Under min the answer comes from cyclic projections onto the
+    homogenized hulls (``_lex_first_min``), which needs every generator
+    coordinate on the grid.  Product and Lukasiewicz scan the grid on the
+    integer kernels.  Any hit is re-verified with exact rational
+    arithmetic before it is returned.
     """
-    d = groups[0][0].dim
-    coords = {c for g in groups for pt in g for c in pt.coords}
     if tnorm.is_min:
-        table = sorted(set(grid) | coords)
-        rank = {v: i for i, v in enumerate(table)}
-        denom = 1
-        top = rank[tnorm.bounds.hi]
-
-        def enc(v: Fraction) -> int:
-            return rank[v]
-
+        q = _lex_first_min(groups, tnorm, grid)
     else:
-        denom = common_denominator(sorted(set(grid) | coords))
-        if denom > MAX_FRACTION_DENOM:
-            return _common_point_exact(groups, tnorm, grid)
-        top = denom
+        q = _scan_common_point(groups, tnorm, grid)
+    if q is None:
+        return None
+    for g in groups:
+        if not _member_exact(q, g, tnorm):
+            raise AssertionError("search witness failed exact re-verification")
+    return q
 
-        def enc(v: Fraction) -> int:
-            return int(v * denom)
 
-    grid_enc = np.array([enc(v) for v in grid], dtype=np.int64)
+def _scan_common_point(
+    groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]
+) -> Point | None:
+    """Lex-first common grid point by the product or Lukasiewicz kernel scan."""
+    coords = {c for g in groups for pt in g for c in pt.coords}
+    denom = common_denominator(sorted(set(grid) | coords))
+    if denom > MAX_FRACTION_DENOM:
+        return _common_point_exact(groups, tnorm, grid)
+    d = groups[0][0].dim
     rows = []
     offs = [0]
     for g in groups:
         for pt in g:
-            rows.append([enc(c) for c in pt.coords])
+            rows.append([int(c * denom) for c in pt.coords])
         offs.append(len(rows))
     flat = _kernels.scan_common(
         _TAGS[tnorm.tag],
         denom,
-        grid_enc,
+        np.array([int(v * denom) for v in grid], dtype=np.int64),
         d,
         np.array(rows, dtype=np.int64),
         np.array(offs, dtype=np.int64),
-        top,
     )
     if flat < 0:
         return None
@@ -200,21 +294,27 @@ def _common_point(
     for _ in range(d):
         digits.append(flat % k)
         flat //= k
-    q = Point(tuple(grid[i] for i in reversed(digits)))
-    for g in groups:
-        if not _member_exact(q, g, tnorm):
-            raise AssertionError("scan witness failed exact re-verification")
-    return q
+    return Point(tuple(grid[i] for i in reversed(digits)))
 
 
-def _miss(tnorm: TNorm, what: str) -> Exception:
+def _grid_text(grid: Sequence[Fraction], step: Fraction | None) -> str:
+    text = "%d values per coordinate" % len(grid)
+    return text if step is None else text + ", step %s" % step
+
+
+def _miss(
+    tnorm: TNorm, what: str, grid: Sequence[Fraction], step: Fraction | None
+) -> Exception:
     if tnorm.is_min:
         return AssertionError(
-            "soundness alarm: no %s on the exact grid, "
-            "contradicting the existence guarantee" % what
+            "soundness alarm: no %s on the exact grid (%s), "
+            "contradicting the existence guarantee" % (what, _grid_text(grid, step))
         )
     return ResolutionExhausted(
-        "no %s at grid step; retry with a finer grid_step" % what
+        "no %s on the search grid (%s); retry with a finer grid_step"
+        % (what, _grid_text(grid, step)),
+        grid_step=step,
+        grid_size=len(grid),
     )
 
 
@@ -226,7 +326,7 @@ def radon_partition(
     """Split d+2 points into two parts whose hulls share a point.
 
     Partitions are tried in ascending bitmask order with index 0 pinned
-    to the first part, and for each one the grid is scanned for a
+    to the first part, and for each one the grid is searched for a
     common witness.  Existence holds for every built-in t-norm, so with
     min arithmetic a full miss is an internal error; for the other
     norms it surfaces as ResolutionExhausted.
@@ -237,7 +337,7 @@ def radon_partition(
     n = len(pts)
     if n != d + 2:
         raise PreconditionError("need %d points in dimension %d, got %d" % (d + 2, d, n))
-    grid = _search_grid(pts, tnorm, grid_step)
+    grid, step = _search_grid(pts, tnorm, grid_step)
     for mask in range(1, 1 << (n - 1)):
         part2 = tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
         part1 = tuple(i for i in range(n) if i not in part2)
@@ -246,7 +346,7 @@ def radon_partition(
         )
         if witness is not None:
             return RadonPartition(part1=part1, part2=part2, witness=witness)
-    raise _miss(tnorm, "Radon witness")
+    raise _miss(tnorm, "Radon witness", grid, step)
 
 
 def helly_check(
@@ -256,11 +356,11 @@ def helly_check(
 ) -> CommonWitness | CounterexampleSubfamily:
     """Test the d+1 intersection hypothesis, then produce a common point.
 
-    Scans every subfamily of size min(d+1, len(family)) for a common
+    Searches every subfamily of size min(d+1, len(family)) for a common
     grid point; the first one without any is returned as a
     counterexample to the hypothesis.  When all of them intersect, the
     whole family is guaranteed to as well, and the witness found by the
-    full scan is returned.
+    family-wide search is returned.
     """
     polys = list(family)
     if not polys:
@@ -268,14 +368,14 @@ def helly_check(
     all_points = [p for poly in polys for p in poly.generators]
     _validate(all_points, tnorm)
     d = all_points[0].dim
-    grid = _search_grid(all_points, tnorm, grid_step)
+    grid, step = _search_grid(all_points, tnorm, grid_step)
     k = min(d + 1, len(polys))
     for subset in itertools.combinations(range(len(polys)), k):
         if _common_point([polys[i].generators for i in subset], tnorm, grid) is None:
             return CounterexampleSubfamily(indices=subset)
     witness = _common_point([poly.generators for poly in polys], tnorm, grid)
     if witness is None:
-        raise _miss(tnorm, "family-wide witness")
+        raise _miss(tnorm, "family-wide witness", grid, step)
     return CommonWitness(point=witness)
 
 
@@ -287,8 +387,8 @@ def centerpoint(
     """Point lying in the hull of every subset larger than dn/(d+1).
 
     Equivalently, a common point of the hulls of all subsets of size
-    m0 = floor(dn/(d+1)) + 1, which is how the search is run: one scan
-    over the grid against every m0-subset at once.
+    m0 = floor(dn/(d+1)) + 1, which is how the search is run: one
+    search of the grid against every m0-subset at once.
     """
     pts = list(points)
     _validate(pts, tnorm)
@@ -298,10 +398,10 @@ def centerpoint(
     groups = [
         [pts[i] for i in subset] for subset in itertools.combinations(range(n), m0)
     ]
-    grid = _search_grid(pts, tnorm, grid_step)
+    grid, step = _search_grid(pts, tnorm, grid_step)
     witness = _common_point(groups, tnorm, grid)
     if witness is None:
-        raise _miss(tnorm, "centerpoint")
+        raise _miss(tnorm, "centerpoint", grid, step)
     return witness
 
 
@@ -366,7 +466,7 @@ def tverberg_search(
     if r == 2:
         rp = radon_partition(pts, tnorm, grid_step)
         return TverbergPartition(parts=(rp.part1, rp.part2), witness=rp.witness)
-    grid = _search_grid(pts, tnorm, grid_step)
+    grid, step = _search_grid(pts, tnorm, grid_step)
     for labels in _partitions_into(n, r):
         parts = tuple(
             tuple(i for i in range(n) if labels[i] == b) for b in range(r)
@@ -376,13 +476,11 @@ def tverberg_search(
         )
         if witness is not None:
             return TverbergPartition(parts=parts, witness=witness)
-    if tnorm.is_min and _is_prime_power(r):
-        raise _miss(tnorm, "Tverberg witness")
-    if not tnorm.is_min:
-        raise ResolutionExhausted(
-            "no Tverberg witness at grid step; retry with a finer grid_step"
-        )
+    if not tnorm.is_min or _is_prime_power(r):
+        raise _miss(tnorm, "Tverberg witness", grid, step)
     raise NotFound(
-        "no partition into %d parts shares a hull point on the exact grid; "
-        "existence for this r is an open question" % r
+        "no partition into %d parts shares a hull point on the exact grid (%s); "
+        "existence for this r is an open question" % (r, _grid_text(grid, step)),
+        grid_step=step,
+        grid_size=len(grid),
     )

@@ -335,6 +335,40 @@ def test_radon_resolution_exhausted(capsys, tmp_path):
     assert doc2["result"]["witness"] == ["4/9", "8/15"]
 
 
+def test_radon_miss_names_its_grid(capsys, tmp_path):
+    doc_in = {
+        "schema": 1,
+        "tnorm": "product",
+        "pointsets": {"hard": [["5/9", "2/3"], ["1/9", "8/9"], ["4/9", "1/9"], ["1/3", "2/9"]]},
+    }
+    path = tmp_path / "hard.json"
+    path.write_text(json.dumps(doc_in))
+    code, doc, _ = run_json(capsys, "radon", str(path), "--grid-step", "1/2")
+    assert code == 2
+    outcome = doc["outcome"]
+    assert outcome["type"] == "ResolutionExhausted"
+    # the seven distinct input coordinates plus 0, 1/2 and 1
+    assert outcome["grid_step"] == "1/2"
+    assert outcome["grid_size"] == 10
+    assert "10 values per coordinate, step 1/2" in outcome["message"]
+
+
+def test_internal_error_is_a_document(capsys, intervals_path, monkeypatch):
+    from maxminconv import maxt
+
+    monkeypatch.setattr(maxt, "_common_point", lambda groups, tnorm, grid: None)
+    code, out, err = run(capsys, "radon", intervals_path, "--pointset", "line")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "internal-error"
+    assert doc["outcome"]["type"] == "AssertionError"
+    assert "soundness alarm" in doc["outcome"]["message"]
+    # the three input coordinates plus the bounds 0 and 1
+    assert "5 values per coordinate" in doc["outcome"]["message"]
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # overrides
 # ---------------------------------------------------------------------------

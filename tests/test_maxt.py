@@ -303,3 +303,64 @@ def test_tverberg_wrong_cardinality():
         tverberg_search([point("0.1"), point("0.5"), point("0.9")], 3)
     with pytest.raises(PreconditionError):
         tverberg_search([point("0.1")] * 5, 1)
+
+
+class _ScanReached(Exception):
+    pass
+
+
+def test_min_searches_run_without_the_grid_scan(rng, monkeypatch):
+    """Under min every witness search is decided by projections, never by the k^d scan."""
+    from maxminconv import _kernels
+    from maxminconv.hull import colorful_strong
+
+    def refuse(*args):
+        raise _ScanReached()
+
+    monkeypatch.setattr(_kernels, "scan_common", refuse)
+
+    def inside(q, gens):
+        return hull_member_maxt(q, Polytope(tuple(gens))).member
+
+    pts = [random_point(rng, 6, den=1000) for _ in range(8)]
+    # 40-odd grid values per coordinate: a scan would visit some 40^6 points
+    assert len({c for p in pts for c in p.coords}) >= 40
+    rp = radon_partition(pts)
+    for part in (rp.part1, rp.part2):
+        assert inside(rp.witness, [pts[i] for i in part])
+
+    core = random_point(rng, 4)
+    family = [
+        Polytope((core,) + tuple(random_point(rng, 4) for _ in range(3))) for _ in range(5)
+    ]
+    out = helly_check(family)
+    assert isinstance(out, CommonWitness)
+    assert all(inside(out.point, poly.generators) for poly in family)
+
+    pts = [random_point(rng, 3) for _ in range(6)]
+    cp = centerpoint(pts)
+    m0 = (3 * 6) // 4 + 1
+    for sub in itertools.combinations(range(6), m0):
+        assert inside(cp, [pts[i] for i in sub])
+
+    q = random_point(rng, 3)
+    c = Polytope((q,) + tuple(random_point(rng, 3) for _ in range(3)))
+    colors = [Polytope((q,) + tuple(random_point(rng, 3) for _ in range(2))) for _ in range(4)]
+    res = colorful_strong(c, colors)
+    for i, meet in enumerate(res.meeting_points):
+        assert inside(meet, c.generators) and inside(meet, colors[i].generators)
+    picked = [colors[i].generators[k] for i, k in sorted(res.choice.items())]
+    assert inside(res.witness, c.generators) and inside(res.witness, picked)
+
+    with pytest.raises(_ScanReached):
+        radon_partition(planted_join_instance(rng, 2), PRODUCT)
+
+
+def test_min_search_needs_generator_coordinates_on_the_grid():
+    from maxminconv.maxt import _common_point
+
+    grid = (Fraction(0), Fraction(1, 2), Fraction(1))
+    with pytest.raises(PreconditionError, match="3/10 is not on the search grid"):
+        _common_point([[point("0.3", "0.5")]], MIN, grid)
+    with pytest.raises(PreconditionError, match="lacks the upper bound"):
+        _common_point([[point("0.5", "0.5")]], MIN, grid[:2])
