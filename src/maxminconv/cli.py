@@ -417,9 +417,10 @@ def _cmd_separate_box(inst: Instance, args: argparse.Namespace, ver: Verifier) -
     c: Polytope = inst.lookup("polytopes", args.polytope)
     out = separate_box(b, c, bounds)
     if isinstance(out, NonSeparable):
-        raise Negative(
-            "NonSeparable", out.reason, {"witness": _fmt(out.witness)}
-        )
+        w = out.witness
+        if not (hull_member(w, c, bounds).member and b.lower.leq(w) and not w.leq(b.upper)):
+            raise AssertionError("non-separability witness fails its re-check; this is a bug")
+        raise Negative("NonSeparable", out.reason, {"witness": _fmt(w)})
     ver.check(
         "semispace holds every generator",
         all(semispace_contains(out, g) for g in c.generators),
@@ -440,10 +441,7 @@ def _cmd_sep_condition(inst: Instance, args: argparse.Namespace, ver: Verifier) 
     if not holds:
         witness = condition_violation(b, c, bounds)
         assert witness is not None
-        ver.check(
-            "violating point is a hull point",
-            _maxt_member(witness, c.generators, TNorm("min", bounds)),
-        )
+        ver.check("violating point is a hull point", hull_member(witness, c, bounds).member)
         ver.check("violating point dominates the box floor", b.lower.leq(witness))
         ver.check(
             "violating point exceeds the box ceiling somewhere",

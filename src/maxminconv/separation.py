@@ -11,23 +11,28 @@ with t(B) the largest k such that x_(k) dominates the first k lower
 coordinates in the same order, separation can fail only when
 x_(1) = hi and some hull point y >= lower corner exceeds the upper
 corner in one of the first t(B) sorted coordinates.
+
+The box [l, u] is the max-min hull of l and the d points raising l_j to
+u_j, so "does B meet conv(C)?" and "is there a hull point y >= l with
+y_i > u_i?" go to the shared min search of ``maxt`` (cyclic projections).
+The separating semispace of a box has a closed form; nothing scans a grid.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PreconditionError, SemiringBounds, UNIT, value_grid
 from .geometry import Point, _check_bounds, _check_same_dim
-from .hull import HullMembership, Polytope, hull_member
+from .hull import HullMembership, Polytope, _find_meeting_point, hull_member
 from .semispaces import (
     Hyperplane,
     NotOnDiagonal,
     SemispaceId,
     _diagonal_hyperplane,
-    index_set,
     sector_contains_box,
     semispace,
     semispace_contains,
@@ -63,6 +68,12 @@ class Box:
             for lo, hi in zip(self.lower.coords, self.upper.coords)
         ]
         return tuple(Point(c) for c in itertools.product(*axes))
+
+    def polytope(self) -> Polytope:
+        """Generators of the box as a max-min hull: l, and l with l_j raised to u_j."""
+        lo = self.lower.coords
+        raised = (Point(lo[:j] + (u,) + lo[j + 1:]) for j, u in enumerate(self.upper.coords))
+        return Polytope((self.lower, *raised))
 
 
 @dataclass(frozen=True)
@@ -116,26 +127,39 @@ def _sorted_upper_order(b: Box) -> tuple[list[int], int]:
 
 
 def condition_violation(b: Box, c: Polytope, bounds: SemiringBounds) -> Point | None:
-    """Hull point y >= lower with y exceeding the upper corner on the frontier.
+    """Lex-first grid hull point y >= lower exceeding the upper corner on the frontier.
 
-    Exact for the min t-norm: rounding a hull point up to the coordinate
-    grid keeps it in the hull, keeps y >= lower and keeps any strict
-    excess strict, so scanning the grid decides existence.
+    On the grid G of the input coordinates and the bounds, y_i > u_i means
+    y_i >= u_i^+, the next value of G above u_i.  So each frontier
+    coordinate i with u_i < hi asks whether conv(C) meets the box from l
+    with l_i raised to u_i^+ up to (hi, ..., hi); the answer is the
+    lex-smallest meeting point.  Exact for the min t-norm: rounding a hull
+    point down to G keeps it in both hulls.
     """
     order, t = _sorted_upper_order(b)
     if b.upper[order[0]] < bounds.hi:
         return None
-    frontier = order[:t]
     grid = value_grid(list(c.coordinates()) + list(b.coordinates()), bounds)
-    for combo in itertools.product(grid, repeat=b.dim):
-        q = Point(combo)
-        if (
-            b.lower.leq(q)
-            and any(q[i] > b.upper[i] for i in frontier)
-            and hull_member(q, c, bounds).member
-        ):
-            return q
-    return None
+    top, lo = Point((bounds.hi,) * b.dim), b.lower.coords
+    hits = []
+    for i in order[:t]:
+        if b.upper[i] < bounds.hi:
+            floor = Point(lo[:i] + (grid[bisect_right(grid, b.upper[i])],) + lo[i + 1:])
+            q = _find_meeting_point(c, Box(lower=floor, upper=top).polytope(), bounds)
+            if q is not None:
+                hits.append(q)
+    return min(hits, key=lambda q: q.coords, default=None)
+
+
+def _check_disjoint(b: Box, c: Polytope, bounds: SemiringBounds) -> None:
+    """Preconditions of the box questions: dimensions, bounds, B and conv(C) disjoint."""
+    if b.dim != c.dim:
+        raise PreconditionError("box and polytope dimensions differ")
+    _check_bounds(b.lower, bounds)
+    _check_bounds(b.upper, bounds)
+    common = _find_meeting_point(c, b.polytope(), bounds)
+    if common is not None:
+        raise PreconditionError("box meets conv(C) at %s; separation undefined" % (common,))
 
 
 def sep_condition(b: Box, c: Polytope, bounds: SemiringBounds = UNIT) -> bool:
@@ -146,60 +170,41 @@ def sep_condition(b: Box, c: Polytope, bounds: SemiringBounds = UNIT) -> bool:
     largest upper coordinate stays below hi, and always true for a
     degenerate box disjoint from the hull.
     """
-    if b.dim != c.dim:
-        raise PreconditionError("box and polytope dimensions differ")
-    _check_bounds(b.lower, bounds)
-    _check_bounds(b.upper, bounds)
-    common = _hull_point_in_box(b, c, bounds)
-    if common is not None:
-        raise PreconditionError("box meets conv(C) at %s; separation undefined" % (common,))
+    _check_disjoint(b, c, bounds)
     return condition_violation(b, c, bounds) is None
 
 
-def _hull_point_in_box(b: Box, c: Polytope, bounds: SemiringBounds) -> Point | None:
-    """Grid-exact emptiness test for B intersect conv(C)."""
-    grid = value_grid(list(c.coordinates()) + list(b.coordinates()), bounds)
-    axes = [[v for v in grid if b.lower[i] <= v <= b.upper[i]] for i in range(b.dim)]
-    for combo in itertools.product(*axes):
-        q = Point(combo)
-        if hull_member(q, c, bounds).member:
-            return q
-    return None
+def _box_anchor(b: Box, c: Polytope, bounds: SemiringBounds) -> SemispaceId | None:
+    """First separating (anchor, index) pair, anchors inside B in lex order.
 
-
-def _anchor_scan(
-    axes: list[list[Fraction]],
-    b: Box,
-    c: Polytope,
-    bounds: SemiringBounds,
-) -> SemispaceId | None:
-    for combo in itertools.product(*axes):
-        a = Point(combo)
-        for i in index_set(a, bounds):
-            s = semispace(a, i, bounds)
-            if sector_contains_box(s, b.lower, b.upper) and all(
-                semispace_contains(s, g) for g in c
-            ):
-                return s
-    return None
+    A sector holding B pins the anchor.  Index 0 needs the anchor u.
+    Index k+1 needs a_k = l_k, a_m = u_m on the tail T = {m : u_m < l_k}
+    and a_m >= l_k elsewhere, least at max(l_m, l_k); which generators the
+    semispace holds does not depend on those.  Anchors outside B add
+    nothing: there a_k <= l_k, and raising a_k to l_k only adds generators.
+    """
+    lo, up = b.lower.coords, b.upper.coords
+    found = []
+    if all(v < bounds.hi for v in up) and all(any(x > y for x, y in zip(g, up)) for g in c):
+        found.append((up, 0))
+    for k, lk in enumerate(lo):
+        tail = [m for m in range(b.dim) if up[m] < lk]
+        if lk > bounds.lo and all(g[k] < lk or any(g[m] > up[m] for m in tail) for g in c):
+            anchor = tuple(up[m] if m in tail else max(lo[m], lk) for m in range(b.dim))
+            found.append((anchor, k + 1))
+    best = min(found, default=None)
+    return None if best is None else semispace(Point(best[0]), best[1], bounds)
 
 
 def separate_box(b: Box, c: Polytope, bounds: SemiringBounds = UNIT) -> SemispaceId | NonSeparable:
     """Semispace containing conv(C) with the box in its sector.
 
     Requires B and conv(C) disjoint.  When the separation condition
-    fails, returns NonSeparable with the obstructing hull point.  The
-    anchor search runs over grid points inside B (corners included),
-    falling back to the full grid; for a degenerate box this agrees with
-    separate_point.
+    fails, returns NonSeparable with the obstructing hull point; else the
+    first separating anchor inside B in lex order (``_box_anchor``),
+    re-checked against the generators and the box.
     """
-    if b.dim != c.dim:
-        raise PreconditionError("box and polytope dimensions differ")
-    _check_bounds(b.lower, bounds)
-    _check_bounds(b.upper, bounds)
-    common = _hull_point_in_box(b, c, bounds)
-    if common is not None:
-        raise PreconditionError("box meets conv(C) at %s; separation undefined" % (common,))
+    _check_disjoint(b, c, bounds)
     violation = condition_violation(b, c, bounds)
     if violation is not None:
         return NonSeparable(
@@ -207,18 +212,12 @@ def separate_box(b: Box, c: Polytope, bounds: SemiringBounds = UNIT) -> Semispac
             "and exceeds its ceiling on the frontier" % (violation,),
             witness=violation,
         )
-    grid = value_grid(list(c.coordinates()) + list(b.coordinates()), bounds)
-    inside = [[v for v in grid if b.lower[i] <= v <= b.upper[i]] for i in range(b.dim)]
-    found = _anchor_scan(inside, b, c, bounds)
-    if found is None:
-        # guaranteed to exist once the condition holds; widen the anchor
-        # search to the whole grid before conceding
-        found = _anchor_scan([list(grid)] * b.dim, b, c, bounds)
-    if found is None:
-        raise AssertionError(
-            "separation condition holds but no grid anchor separates; this is a bug"
-        )
-    return found
+    s = _box_anchor(b, c, bounds)
+    if s is None or not (
+        all(semispace_contains(s, g) for g in c) and sector_contains_box(s, b.lower, b.upper)
+    ):
+        raise AssertionError("separation condition holds but no anchor separates; this is a bug")
+    return s
 
 
 def separate_by_hyperplane(

@@ -286,6 +286,25 @@ def test_separate_box_non_separable(capsys, instance_path):
     assert doc["outcome"]["witness"] == ["1/2", "3/5"]
 
 
+@pytest.mark.parametrize("witness", [("0.6", "0.6"), ("0.5", "0.3")])
+def test_separate_box_rechecks_its_negative(capsys, instance_path, monkeypatch, witness):
+    # the true witness is (1/2, 3/5); (3/5, 3/5) lies outside conv(C) only,
+    # (1/2, 3/10) also stays under the box's ceiling
+    from maxminconv import cli
+    from maxminconv.geometry import point
+    from maxminconv.separation import NonSeparable
+
+    bogus = NonSeparable(reason="planted", witness=point(*witness))
+    monkeypatch.setattr(cli, "separate_box", lambda b, c, bounds: bogus)
+    code, out, err = run(
+        capsys, "separate-box", instance_path, "--box", "flat", "--polytope", "spike"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "internal-error"
+    assert "non-separability witness fails its re-check" in doc["outcome"]["message"]
+
+
 def test_separate_hyperplane_off_diagonal(capsys, instance_path):
     code, doc, _ = run_json(
         capsys,

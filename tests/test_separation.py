@@ -1,13 +1,15 @@
 """Separating points and boxes from hulls, condition checks, hyperplanes."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from maxminconv.core import UNIT, PreconditionError
+from maxminconv.core import UNIT, PreconditionError, SemiringBounds
 from maxminconv.geometry import Point, point
 from maxminconv.hull import Polytope, hull_member, polytope
+from maxminconv.maxt import hull_member_maxt
 from maxminconv.semispaces import (
     NotOnDiagonal,
     hyperplane_contains,
@@ -31,6 +33,7 @@ from maxminconv.separation import (
 from support import random_point, random_polytope
 
 TWO_GEN = polytope([("0.2", "0.8"), ("0.8", "0.2")])
+WIDE = SemiringBounds(Fraction(-1), Fraction(2))
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +181,58 @@ def test_separate_box_rejects_overlap():
         separate_box(b, polytope([("0.5", "0.5")]))
 
 
-def every_grid_semispace_fails(b: Box, c: Polytope) -> bool:
-    """Exhaustively confirm no semispace anchored on the coordinate grid
-    holds the generators while its sector holds the box."""
-    vals = sorted(
-        set(c.coordinates())
-        | set(b.lower.coords)
-        | set(b.upper.coords)
-        | {Fraction(0), Fraction(1)}
-    )
-    for coords in itertools.product(vals, repeat=b.lower.dim):
+def coordinate_grid(b: Box, c: Polytope, bounds=UNIT) -> list[Fraction]:
+    return sorted(set(c.coordinates()) | set(b.coordinates()) | {bounds.lo, bounds.hi})
+
+
+def inside_axes(b: Box, grid) -> list[list[Fraction]]:
+    return [[v for v in grid if b.lower[i] <= v <= b.upper[i]] for i in range(b.dim)]
+
+
+def first_grid_separator(b: Box, c: Polytope, anchors, bounds=UNIT):
+    """Exhaustive reference: the first semispace, anchors from the
+    per-coordinate value lists in lex order and then by index, that holds
+    every generator while its sector holds the box; None if none does."""
+    for coords in itertools.product(*anchors):
         anchor = Point(coords)
-        for i in index_set(anchor):
-            s = semispace(anchor, i)
+        for i in index_set(anchor, bounds):
+            s = semispace(anchor, i, bounds)
             if all(semispace_contains(s, g) for g in c) and sector_contains_box(
                 s, b.lower, b.upper
             ):
-                return False
-    return True
+                return s
+    return None
+
+
+def first_hull_point_in_box(b: Box, c: Polytope, bounds=UNIT):
+    """Scan reference: lex-first grid point of B in conv(C) by the sector test."""
+    for coords in itertools.product(*inside_axes(b, coordinate_grid(b, c, bounds))):
+        if hull_member(Point(coords), c, bounds).member:
+            return Point(coords)
+    return None
+
+
+def first_violation(b: Box, c: Polytope, bounds=UNIT):
+    """Scan reference: lex-first grid hull point y >= lower with y_i > u_i
+    on the frontier t(B), the descending order of the upper corner cut
+    where it stops dominating the lower corner in that order."""
+    d = b.dim
+    order = sorted(range(d), key=lambda i: (-b.upper[i], i))
+    if b.upper[order[0]] < bounds.hi:
+        return None
+    t = max(
+        k for k in range(d + 1)
+        if all(b.upper[order[k - 1]] >= b.lower[order[i]] for i in range(k))
+    )
+    for coords in itertools.product(coordinate_grid(b, c, bounds), repeat=d):
+        q = Point(coords)
+        if (
+            b.lower.leq(q)
+            and any(q[i] > b.upper[i] for i in order[:t])
+            and hull_member(q, c, bounds).member
+        ):
+            return q
+    return None
 
 
 def test_nonseparable_verdicts_are_exhaustive(rng):
@@ -213,7 +250,7 @@ def test_nonseparable_verdicts_are_exhaustive(rng):
         if not isinstance(res, NonSeparable):
             continue
         checked += 1
-        assert every_grid_semispace_fails(b, c)
+        assert first_grid_separator(b, c, [coordinate_grid(b, c)] * b.dim) is None
 
 
 def test_separable_verdicts_hold(rng):
@@ -232,6 +269,107 @@ def test_separable_verdicts_hold(rng):
         checked += 1
         assert all(semispace_contains(res, g) for g in c)
         assert sector_contains_box(res, b.lower, b.upper)
+
+
+@pytest.mark.xfail(strict=True, reason="the frontier condition rejects some separable boxes")
+def test_separable_box_with_a_frontier_obstruction():
+    # S_3(1/2, 1/4, 1/2) holds the generator and its sector holds the box,
+    # yet the generator exceeds the ceiling on frontier coordinate 3
+    b = Box(lower=point("1/4", "0", "1/2"), upper=point("1", "1/4", "3/4"))
+    c = polytope([("1/4", "3/4", "1")])
+    s = semispace(point("1/2", "1/4", "1/2"), 3)
+    assert all(semispace_contains(s, g) for g in c)
+    assert sector_contains_box(s, b.lower, b.upper)
+    assert sep_condition(b, c)
+
+
+def random_box_instance(rng, d, bounds, den):
+    """A random box, often degenerate or with a top coordinate, and a hull."""
+
+    def value():
+        return bounds.lo + Fraction(rng.randrange(int((bounds.hi - bounds.lo) * den) + 1), den)
+
+    a, z = [value() for _ in range(d)], [value() for _ in range(d)]
+    lower, upper = [min(p, q) for p, q in zip(a, z)], [max(p, q) for p, q in zip(a, z)]
+    shape = rng.random()
+    if shape < 0.35:
+        upper[rng.randrange(d)] = bounds.hi
+    elif shape < 0.5:
+        upper = list(lower)
+    elif shape < 0.6:
+        lower[rng.randrange(d)] = bounds.lo
+    gens = [Point(tuple(value() for _ in range(d))) for _ in range(rng.randint(1, 3))]
+    return Box(lower=Point(tuple(lower)), upper=Point(tuple(upper))), Polytope(tuple(gens))
+
+
+def test_box_questions_match_the_grid_scans():
+    """Projections and the closed-form anchor give the scans' lex-first answers."""
+    rng = random.Random(4)
+    seen = {"overlap": 0, "separable": 0, "non-separable": 0}
+    for trial in range(300):
+        bounds = WIDE if trial % 3 == 0 else UNIT
+        b, c = random_box_instance(rng, rng.randint(1, 3), bounds, 2 if bounds == WIDE else 4)
+        common = first_hull_point_in_box(b, c, bounds)
+        if common is not None:
+            seen["overlap"] += 1
+            message = "box meets conv(C) at %s; separation undefined" % (common,)
+            for question in (separate_box, sep_condition):
+                with pytest.raises(PreconditionError) as err:
+                    question(b, c, bounds)
+                assert str(err.value) == message
+            continue
+        violation = first_violation(b, c, bounds)
+        assert condition_violation(b, c, bounds) == violation
+        assert sep_condition(b, c, bounds) == (violation is None)
+        res = separate_box(b, c, bounds)
+        if violation is None:
+            seen["separable"] += 1
+            grid = coordinate_grid(b, c, bounds)
+            assert res == first_grid_separator(b, c, inside_axes(b, grid), bounds)
+        else:
+            seen["non-separable"] += 1
+            assert isinstance(res, NonSeparable) and res.witness == violation
+    assert min(seen.values()) >= 10, seen
+
+
+def test_box_questions_run_without_the_grid_scan(monkeypatch):
+    """At d = 7 with 40-odd values per coordinate, no box question scans
+    candidates with the sector-witness test."""
+    from maxminconv import hull, separation
+
+    def refuse(*args):
+        raise AssertionError("a box question reached hull_member")
+
+    monkeypatch.setattr(separation, "hull_member", refuse)
+    monkeypatch.setattr(hull, "hull_member", refuse)
+    rng = random.Random(7)
+    d = 7
+
+    def coordinate(low, high):
+        return Fraction(rng.randrange(low, high + 1), 1000)
+
+    # every generator starts below the box floor in coordinate 0: separable
+    c = Polytope(tuple(
+        Point((coordinate(0, 500),) + tuple(coordinate(0, 1000) for _ in range(d - 1)))
+        for _ in range(8)
+    ))
+    b = Box(lower=point(["0.6"] + ["0.1"] * (d - 1)), upper=point(["1"] + ["0.9"] * (d - 1)))
+    s = separate_box(b, c)
+    assert all(semispace_contains(s, g) for g in c)
+    assert sector_contains_box(s, b.lower, b.upper)
+    assert sep_condition(b, c)
+
+    # every generator sits above the box ceiling off coordinate 0: not separable
+    c = Polytope(tuple(Point(tuple(coordinate(500, 1000) for _ in range(d))) for _ in range(8)))
+    assert len(set(c.coordinates())) >= 40
+    b = Box(lower=point(["0.1"] * d), upper=point(["1"] + ["0.3"] * (d - 1)))
+    res = separate_box(b, c)
+    assert isinstance(res, NonSeparable)
+    w = res.witness
+    assert hull_member_maxt(w, c).member
+    assert b.lower.leq(w) and not w.leq(b.upper)
+    assert not sep_condition(b, c)
+    assert condition_violation(b, c, UNIT) == w
 
 
 # ---------------------------------------------------------------------------
