@@ -87,10 +87,9 @@ from .semispaces import (
     semispace_family,
 )
 from .separation import (
+    Box,
     NonSeparable,
     PointInHull,
-    condition_violation,
-    sep_condition,
     separate_box,
     separate_by_hyperplane,
     separate_point,
@@ -411,16 +410,47 @@ def _cmd_separate_point(inst: Instance, args: argparse.Namespace, ver: Verifier)
     return {"semispace": _fmt_semispace(out)}
 
 
+def _fmt_blockers(out: NonSeparable) -> list[dict[str, Any]]:
+    return [
+        {"index": i, "semispace": None if s is None else _fmt_semispace(s), "generator": n}
+        for i, (s, n) in enumerate(out.blockers)
+    ]
+
+
+def _blocked(b: Box, c: Polytope, out: NonSeparable, bounds: SemiringBounds) -> bool:
+    """Re-check that the blockers leave no index 0..d a separating semispace.
+
+    Index i is blocked when it is invalid for every anchor whose sector
+    holds the box (u reaches hi for 0, l_k = lo for k+1), or when generator
+    n lies in the sector of s, whose anchor is in the box and whose sector
+    holds the box: the least sector of index i holding the box.
+    """
+
+    def blocks(i: int, s: SemispaceId | None, n: int | None) -> bool:
+        if s is None:
+            return i not in index_set(b.upper if i == 0 else b.lower, bounds)
+        return (
+            s.index == i
+            and b.contains(s.anchor)
+            and i in index_set(s.anchor, bounds)
+            and sector_contains_box(s, b.lower, b.upper)
+            and n in range(len(c))
+            and sector_contains(s, c.generators[n])
+        )
+
+    blockers = out.blockers
+    return len(blockers) == b.dim + 1 and all(blocks(i, *e) for i, e in enumerate(blockers))
+
+
 def _cmd_separate_box(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
     bounds = _min_only(inst, "separate-box")
     b = inst.lookup("boxes", args.box)
     c: Polytope = inst.lookup("polytopes", args.polytope)
     out = separate_box(b, c, bounds)
     if isinstance(out, NonSeparable):
-        w = out.witness
-        if not (hull_member(w, c, bounds).member and b.lower.leq(w) and not w.leq(b.upper)):
-            raise AssertionError("non-separability witness fails its re-check; this is a bug")
-        raise Negative("NonSeparable", out.reason, {"witness": _fmt(w)})
+        if not _blocked(b, c, out, bounds):
+            raise AssertionError("non-separability certificate fails its re-check; this is a bug")
+        raise Negative("NonSeparable", out.reason, {"blockers": _fmt_blockers(out)})
     ver.check(
         "semispace holds every generator",
         all(semispace_contains(out, g) for g in c.generators),
@@ -436,18 +466,11 @@ def _cmd_sep_condition(inst: Instance, args: argparse.Namespace, ver: Verifier) 
     bounds = _min_only(inst, "sep-condition")
     b = inst.lookup("boxes", args.box)
     c: Polytope = inst.lookup("polytopes", args.polytope)
-    holds = sep_condition(b, c, bounds)
-    witness = None
-    if not holds:
-        witness = condition_violation(b, c, bounds)
-        assert witness is not None
-        ver.check("violating point is a hull point", hull_member(witness, c, bounds).member)
-        ver.check("violating point dominates the box floor", b.lower.leq(witness))
-        ver.check(
-            "violating point exceeds the box ceiling somewhere",
-            any(witness[i] > b.upper[i] for i in range(b.dim)),
-        )
-    return {"condition_holds": holds, "violation": _fmt(witness)}
+    out = separate_box(b, c, bounds)
+    if not isinstance(out, NonSeparable):
+        return {"condition_holds": True, "violation": None}
+    ver.check("every semispace index is blocked", _blocked(b, c, out, bounds))
+    return {"condition_holds": False, "violation": _fmt_blockers(out)}
 
 
 def _cmd_separate_hyperplane(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
@@ -554,7 +577,8 @@ def _cmd_helly(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
         "CounterexampleSubfamily",
         "the intersection hypothesis fails: members %s share no grid point"
         % (list(out.indices),),
-        {"indices": list(out.indices), "exact": inst.tnorm.is_min},
+        {"indices": list(out.indices), "exact": inst.tnorm.is_min,
+         "grid_step": _fmt(out.grid_step), "grid_size": out.grid_size},
     )
 
 

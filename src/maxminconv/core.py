@@ -62,7 +62,10 @@ def as_value(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (x,)) from None
     if isinstance(x, float):
         raise TypeError(
             "refusing to coerce float %r; pass a string like '0.3' or a Fraction"

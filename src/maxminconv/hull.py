@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .core import PreconditionError, SemiringBounds, TNorm, MIN, UNIT, value_grid
 from .geometry import Point, _check_bounds
 from .koenig import internal_separation
-from .semispaces import index_set, sector_contains, semispace
+from .semispaces import SemispaceId, index_set, sector_contains, semispace
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,11 @@ class HullMembership:
     separating_index: int | None = None
 
 
+def _first_in_sector(s: SemispaceId, x: Polytope) -> int | None:
+    """Index of the first generator of x inside the sector of s, None if none is."""
+    return next((k for k, g in enumerate(x) if sector_contains(s, g)), None)
+
+
 def hull_member(p: Point, x: Polytope, bounds: SemiringBounds = UNIT) -> HullMembership:
     """Exact membership of p in the max-min hull of x.
 
@@ -102,12 +107,7 @@ def hull_member(p: Point, x: Polytope, bounds: SemiringBounds = UNIT) -> HullMem
         _check_bounds(g, bounds)
     witnesses: dict[int, int] = {}
     for i in index_set(p, bounds):
-        s = semispace(p, i, bounds)
-        hit = None
-        for k, g in enumerate(x):
-            if sector_contains(s, g):
-                hit = k
-                break
+        hit = _first_in_sector(semispace(p, i, bounds), x)
         if hit is None:
             return HullMembership(member=False, separating_index=i)
         witnesses[i] = hit
@@ -150,12 +150,7 @@ def colorful_weak(p: Point, colors: Sequence[Polytope], bounds: SemiringBounds =
             raise PreconditionError("p is outside the hull of color %d" % i)
     choice: dict[int, int] = {}
     for i in index_set(p, bounds):
-        s = semispace(p, i, bounds)
-        hit = None
-        for k, g in enumerate(colors[i]):
-            if sector_contains(s, g):
-                hit = k
-                break
+        hit = _first_in_sector(semispace(p, i, bounds), colors[i])
         # p is in the hull of color i, so its sector i holds a generator
         if hit is None:
             raise AssertionError("sector %d of %s misses color %d; this is a bug" % (i, p, i))
@@ -242,12 +237,7 @@ def colorful_strong(
     choice: dict[int, int] = {}
     for i in range(d + 1):
         sector_idx = assignment[i]
-        s = semispace(witness, sector_idx, work_bounds)
-        hit = None
-        for k, g in enumerate(colors[i]):
-            if sector_contains(s, g):
-                hit = k
-                break
+        hit = _first_in_sector(semispace(witness, sector_idx, work_bounds), colors[i])
         # the meeting point of color i sits in this sector, and a full
         # semispace cannot swallow a hull while missing every generator
         if hit is None:

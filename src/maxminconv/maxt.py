@@ -104,7 +104,12 @@ class CommonWitness:
 
 @dataclass(frozen=True)
 class CounterexampleSubfamily:
+    """Members sharing no grid point; ``grid_step`` and ``grid_size``
+    name the searched grid as in NotFound."""
+
     indices: tuple[int, ...]
+    grid_step: Fraction | None
+    grid_size: int
 
 
 def _principal(p: Point, generators: Sequence[Point], tnorm: TNorm):
@@ -372,7 +377,7 @@ def helly_check(
     k = min(d + 1, len(polys))
     for subset in itertools.combinations(range(len(polys)), k):
         if _common_point([polys[i].generators for i in subset], tnorm, grid) is None:
-            return CounterexampleSubfamily(indices=subset)
+            return CounterexampleSubfamily(indices=subset, grid_step=step, grid_size=len(grid))
     witness = _common_point([poly.generators for poly in polys], tnorm, grid)
     if witness is None:
         raise _miss(tnorm, "family-wide witness", grid, step)

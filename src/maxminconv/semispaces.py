@@ -44,56 +44,16 @@ def index_set(p: Point, bounds: SemiringBounds = UNIT) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sorted_blocks(p: Point) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]]:
-    """Stable descending sort of the coordinates plus block bookkeeping.
-
-    Blocks alternate a plateau of k_j equal values and a strictly
-    decreasing run of l_j values; K_j and L_j are the running totals.
-    A leading strict run is recorded as a block with k_1 = 0.
-    """
-    d = len(p)
-    perm = tuple(sorted(range(d), key=lambda i: (-p[i], i)))
-    values = [p[i] for i in perm]
-    groups: list[int] = []  # sizes of maximal equal groups
-    i = 0
-    while i < d:
-        j = i
-        while j < d and values[j] == values[i]:
-            j += 1
-        groups.append(j - i)
-        i = j
-    blocks: list[tuple[int, int, int, int]] = []
-    big_k = big_l = 0
-    g = 0
-    if groups and groups[0] == 1:
-        # leading strict run, no plateau yet
-        l = 0
-        while g < len(groups) and groups[g] == 1:
-            l += 1
-            g += 1
-        big_l += l
-        blocks.append((0, l, big_k, big_l))
-    while g < len(groups):
-        k = groups[g]
-        g += 1
-        l = 0
-        while g < len(groups) and groups[g] == 1:
-            l += 1
-            g += 1
-        big_k += k
-        big_l += l
-        blocks.append((k, l, big_k, big_l))
-    return perm, tuple(blocks)
-
-
 @dataclass(frozen=True)
 class SemispaceId:
-    """A semispace S_index(anchor); index 0 is the upper semispace."""
+    """A semispace S_index(anchor); index 0 is the upper semispace.
+
+    ``sort_perm`` is the stable descending order of the anchor coordinates.
+    """
 
     anchor: Point
     index: int
     sort_perm: tuple[int, ...]
-    blocks: tuple[tuple[int, int, int, int], ...]
 
     @property
     def dim(self) -> int:
@@ -117,8 +77,8 @@ def semispace(p: Point, index: int, bounds: SemiringBounds = UNIT) -> SemispaceI
         raise PreconditionError(
             "index %d not valid for anchor %s; I(p) = %s" % (index, p, list(valid))
         )
-    perm, blocks = _sorted_blocks(p)
-    return SemispaceId(anchor=p, index=index, sort_perm=perm, blocks=blocks)
+    perm = tuple(sorted(range(len(p)), key=lambda i: (-p[i], i)))
+    return SemispaceId(anchor=p, index=index, sort_perm=perm)
 
 
 def semispace_family(p: Point, bounds: SemiringBounds = UNIT) -> tuple[SemispaceId, ...]:

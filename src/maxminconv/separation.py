@@ -4,28 +4,29 @@ Semispaces are max-min convex, so a semispace containing every generator
 of C contains the whole hull; separating a set from conv(C) means
 finding such a semispace whose complement sector holds the set.
 
-Separation of a box B is not always possible even when B and conv(C)
-are disjoint.  The obstruction is exactly the following condition on
-the descending order x_(1) >= ... >= x_(d) of the box's upper corner:
-with t(B) the largest k such that x_(k) dominates the first k lower
-coordinates in the same order, separation can fail only when
-x_(1) = hi and some hull point y >= lower corner exceeds the upper
-corner in one of the first t(B) sorted coordinates.
+Separation of a box B = [l, u] is not always possible even when B and
+conv(C) are disjoint.  The sectors of one index that hold B have a least
+member, the sector of a canonical anchor inside B (``_least_sectors``),
+and an index is invalid for every anchor whose sector holds B when u
+reaches hi (index 0) or l_k = lo (index k+1).  So B is separable
+exactly when some valid index has a least sector missing every
+generator.  Otherwise each index is blocked, by its invalidity or by a
+generator in its least sector, and these blockers certify that no
+semispace separates.
 
-The box [l, u] is the max-min hull of l and the d points raising l_j to
-u_j, so "does B meet conv(C)?" and "is there a hull point y >= l with
-y_i > u_i?" go to the shared min search of ``maxt`` (cyclic projections).
-The separating semispace of a box has a closed form; nothing scans a grid.
+The box is the max-min hull of l and the d points raising l_j to u_j,
+so "does B meet conv(C)?" goes to the shared min search of ``maxt``
+(cyclic projections).  Nothing scans a grid.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .core import PreconditionError, SemiringBounds, UNIT, value_grid
+from .core import PreconditionError, SemiringBounds, UNIT
 from .geometry import Point, _check_bounds, _check_same_dim
 from .hull import HullMembership, Polytope, _find_meeting_point, hull_member
 from .semispaces import (
@@ -87,12 +88,14 @@ class PointInHull:
 class NonSeparable:
     """No semispace separates the box from the hull.
 
-    ``witness`` is a hull point realizing the obstruction from the
-    separation condition.
+    ``blockers`` has one entry per index 0..d: the least semispace of that
+    index whose sector holds the box, with the first generator inside that
+    sector, or (None, None) when the index is invalid for every anchor
+    whose sector holds the box.
     """
 
     reason: str
-    witness: Point | None = None
+    blockers: tuple[tuple[SemispaceId | None, int | None], ...]
 
 
 def separate_point(p: Point, c: Polytope, bounds: SemiringBounds = UNIT) -> SemispaceId | PointInHull:
@@ -112,47 +115,49 @@ def separate_point(p: Point, c: Polytope, bounds: SemiringBounds = UNIT) -> Semi
     return s
 
 
-def _sorted_upper_order(b: Box) -> tuple[list[int], int]:
-    """Descending stable order of the upper corner and the frontier t(B)."""
-    d = b.dim
-    order = sorted(range(d), key=lambda i: (-b.upper[i], i))
-    t = 0
-    for k in range(1, d + 1):
-        top = b.upper[order[k - 1]]
-        if all(top >= b.lower[order[i]] for i in range(k)):
-            t = k
-        else:
-            break
-    return order, t
+def _least_sectors(
+    b: Box, c: Polytope, bounds: SemiringBounds
+) -> list[tuple[tuple[Fraction, ...], int | None] | None]:
+    """Per index 0..d, the anchor of the least sector holding B and the first
+    generator inside that sector (None if it misses them all); None in place
+    of the pair when the index is invalid for every anchor whose sector
+    holds B.
 
-
-def condition_violation(b: Box, c: Polytope, bounds: SemiringBounds) -> Point | None:
-    """Lex-first grid hull point y >= lower exceeding the upper corner on the frontier.
-
-    On the grid G of the input coordinates and the bounds, y_i > u_i means
-    y_i >= u_i^+, the next value of G above u_i.  So each frontier
-    coordinate i with u_i < hi asks whether conv(C) meets the box from l
-    with l_i raised to u_i^+ up to (hi, ..., hi); the answer is the
-    lex-smallest meeting point.  Exact for the min t-norm: rounding a hull
-    point down to G keeps it in both hulls.
+    A sector of index 0 holds B when u <= a, least at a = u, valid when
+    u < hi.  One of index k+1 holds B when a_k <= l_k and a_m >= u_m on its
+    tail {m : a_m < a_k}, valid when a_k > lo.  The anchor a_k = l_k,
+    a_m = u_m on T = {m : u_m < l_k} and max(l_m, l_k) elsewhere gives
+    {q : q_k >= l_k, q_m <= u_m on T}, which lies inside every other such
+    sector (any tail coordinate m has u_m <= a_m < a_k <= l_k).  It is the
+    lex-first anchor inside B with that sector.
     """
-    order, t = _sorted_upper_order(b)
-    if b.upper[order[0]] < bounds.hi:
+    lo, up = b.lower.coords, b.upper.coords
+    gens = [g.coords for g in c]
+
+    def first(key: int | None, anchor: tuple[Fraction, ...], capped: Iterable[int]) -> int | None:
+        for n, q in enumerate(gens):
+            if (key is None or q[key] >= anchor[key]) and all(q[m] <= anchor[m] for m in capped):
+                return n
         return None
-    grid = value_grid(list(c.coordinates()) + list(b.coordinates()), bounds)
-    top, lo = Point((bounds.hi,) * b.dim), b.lower.coords
-    hits = []
-    for i in order[:t]:
-        if b.upper[i] < bounds.hi:
-            floor = Point(lo[:i] + (grid[bisect_right(grid, b.upper[i])],) + lo[i + 1:])
-            q = _find_meeting_point(c, Box(lower=floor, upper=top).polytope(), bounds)
-            if q is not None:
-                hits.append(q)
-    return min(hits, key=lambda q: q.coords, default=None)
+
+    out = [(up, first(None, up, range(b.dim))) if all(v < bounds.hi for v in up) else None]
+    for k, lk in enumerate(lo):
+        tail = [m for m in range(b.dim) if up[m] < lk]
+        anchor = tuple(up[m] if m in tail else max(lo[m], lk) for m in range(b.dim))
+        out.append((anchor, first(k, anchor, tail)) if lk > bounds.lo else None)
+    return out
 
 
-def _check_disjoint(b: Box, c: Polytope, bounds: SemiringBounds) -> None:
-    """Preconditions of the box questions: dimensions, bounds, B and conv(C) disjoint."""
+def separate_box(b: Box, c: Polytope, bounds: SemiringBounds = UNIT) -> SemispaceId | NonSeparable:
+    """Semispace containing conv(C) with the box in its sector.
+
+    Requires B and conv(C) disjoint.  Decides on the least sector of each
+    index that holds B (``_least_sectors``).  Returns the lex-first
+    (anchor, index) whose least sector misses every generator, which is
+    the first separating anchor inside B in lex order, re-checked against
+    the generators and the box.  When there is none, returns NonSeparable
+    with one blocker per index.
+    """
     if b.dim != c.dim:
         raise PreconditionError("box and polytope dimensions differ")
     _check_bounds(b.lower, bounds)
@@ -160,64 +165,37 @@ def _check_disjoint(b: Box, c: Polytope, bounds: SemiringBounds) -> None:
     common = _find_meeting_point(c, b.polytope(), bounds)
     if common is not None:
         raise PreconditionError("box meets conv(C) at %s; separation undefined" % (common,))
+    least = _least_sectors(b, c, bounds)
+    found = [(e[0], i) for i, e in enumerate(least) if e is not None and e[1] is None]
+    if found:
+        anchor, index = min(found)
+        s = semispace(Point(anchor), index, bounds)
+        if not (
+            all(semispace_contains(s, g) for g in c) and sector_contains_box(s, b.lower, b.upper)
+        ):
+            raise AssertionError("separating semispace fails its re-check; this is a bug")
+        return s
+    blockers = tuple(
+        (None, None) if e is None else (semispace(Point(e[0]), i, bounds), e[1])
+        for i, e in enumerate(least)
+    )
+    return NonSeparable(
+        reason="no semispace separates the box from conv(C): each index is invalid "
+        "or has a generator in its least sector holding the box",
+        blockers=blockers,
+    )
 
 
 def sep_condition(b: Box, c: Polytope, bounds: SemiringBounds = UNIT) -> bool:
     """The exact separability criterion for a box against conv(C).
 
     True means a separating semispace exists (granted B and conv(C) are
-    disjoint); false means every semispace fails.  Always true when the
-    largest upper coordinate stays below hi, and always true for a
-    degenerate box disjoint from the hull.
+    disjoint); false means every semispace fails, as the blockers of
+    ``separate_box`` certify.  Always true when the largest upper
+    coordinate stays below hi, and always true for a degenerate box
+    disjoint from the hull.
     """
-    _check_disjoint(b, c, bounds)
-    return condition_violation(b, c, bounds) is None
-
-
-def _box_anchor(b: Box, c: Polytope, bounds: SemiringBounds) -> SemispaceId | None:
-    """First separating (anchor, index) pair, anchors inside B in lex order.
-
-    A sector holding B pins the anchor.  Index 0 needs the anchor u.
-    Index k+1 needs a_k = l_k, a_m = u_m on the tail T = {m : u_m < l_k}
-    and a_m >= l_k elsewhere, least at max(l_m, l_k); which generators the
-    semispace holds does not depend on those.  Anchors outside B add
-    nothing: there a_k <= l_k, and raising a_k to l_k only adds generators.
-    """
-    lo, up = b.lower.coords, b.upper.coords
-    found = []
-    if all(v < bounds.hi for v in up) and all(any(x > y for x, y in zip(g, up)) for g in c):
-        found.append((up, 0))
-    for k, lk in enumerate(lo):
-        tail = [m for m in range(b.dim) if up[m] < lk]
-        if lk > bounds.lo and all(g[k] < lk or any(g[m] > up[m] for m in tail) for g in c):
-            anchor = tuple(up[m] if m in tail else max(lo[m], lk) for m in range(b.dim))
-            found.append((anchor, k + 1))
-    best = min(found, default=None)
-    return None if best is None else semispace(Point(best[0]), best[1], bounds)
-
-
-def separate_box(b: Box, c: Polytope, bounds: SemiringBounds = UNIT) -> SemispaceId | NonSeparable:
-    """Semispace containing conv(C) with the box in its sector.
-
-    Requires B and conv(C) disjoint.  When the separation condition
-    fails, returns NonSeparable with the obstructing hull point; else the
-    first separating anchor inside B in lex order (``_box_anchor``),
-    re-checked against the generators and the box.
-    """
-    _check_disjoint(b, c, bounds)
-    violation = condition_violation(b, c, bounds)
-    if violation is not None:
-        return NonSeparable(
-            reason="separation condition fails: hull point %s dominates the box floor "
-            "and exceeds its ceiling on the frontier" % (violation,),
-            witness=violation,
-        )
-    s = _box_anchor(b, c, bounds)
-    if s is None or not (
-        all(semispace_contains(s, g) for g in c) and sector_contains_box(s, b.lower, b.upper)
-    ):
-        raise AssertionError("separation condition holds but no anchor separates; this is a bug")
-    return s
+    return not isinstance(separate_box(b, c, bounds), NonSeparable)
 
 
 def separate_by_hyperplane(

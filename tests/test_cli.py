@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from maxminconv.cli import main
 
@@ -20,10 +21,12 @@ BASE = {
         "X": [["0.2", "0.8"], ["0.8", "0.2"]],
         "low": [["0.1", "0.1"], ["0.3", "0.2"]],
         "spike": [["0.5", "0.6"]],
+        "cap": [["5/8", "7/8"], ["1/2", "1"]],
     },
     "boxes": {
         "B": {"lower": ["0", "0"], "upper": ["0.3", "0.3"]},
         "flat": {"lower": ["0", "0"], "upper": ["1", "0.3"]},
+        "tall": {"lower": ["3/8", "5/8"], "upper": ["1", "3/4"]},
     },
     "matrices": {"A": [["0.9", "0.1"], ["0.8", "0.3"], ["0.5", "0.4"]]},
     "pointsets": {
@@ -177,7 +180,35 @@ def test_sep_condition_failure_is_still_a_determination(capsys, instance_path):
     )
     assert code == 0
     assert doc["result"]["condition_holds"] is False
-    assert doc["result"]["violation"] == ["1/2", "3/5"]
+    # u_1 = hi rules out index 0, l = (lo, lo) rules out indices 1 and 2
+    assert doc["result"]["violation"] == [
+        {"index": i, "semispace": None, "generator": None} for i in range(3)
+    ]
+    assert doc["verification"]["passed"] is True
+
+
+def test_sep_condition_names_blocking_generators(capsys, instance_path):
+    code, doc, _ = run_json(
+        capsys, "sep-condition", instance_path, "--box", "tall", "--polytope", "cap"
+    )
+    assert code == 0
+    assert doc["result"]["condition_holds"] is False
+    assert doc["result"]["violation"] == [
+        {"index": 0, "semispace": None, "generator": None},
+        {
+            "index": 1,
+            "semispace": {"anchor": ["3/8", "5/8"], "index": 1, "tail": []},
+            "generator": 0,
+        },
+        {
+            "index": 2,
+            "semispace": {"anchor": ["5/8", "5/8"], "index": 2, "tail": []},
+            "generator": 0,
+        },
+    ]
+    assert doc["verification"]["checks"] == [
+        {"name": "every semispace index is blocked", "passed": True}
+    ]
     assert doc["verification"]["passed"] is True
 
 
@@ -283,26 +314,47 @@ def test_separate_box_non_separable(capsys, instance_path):
     )
     assert code == 2
     assert doc["outcome"]["type"] == "NonSeparable"
-    assert doc["outcome"]["witness"] == ["1/2", "3/5"]
+    assert doc["outcome"]["blockers"] == [
+        {"index": i, "semispace": None, "generator": None} for i in range(3)
+    ]
 
 
-@pytest.mark.parametrize("witness", [("0.6", "0.6"), ("0.5", "0.3")])
-def test_separate_box_rechecks_its_negative(capsys, instance_path, monkeypatch, witness):
-    # the true witness is (1/2, 3/5); (3/5, 3/5) lies outside conv(C) only,
-    # (1/2, 3/10) also stays under the box's ceiling
-    from maxminconv import cli
+def planted_blockers(name):
     from maxminconv.geometry import point
+    from maxminconv.semispaces import semispace
+
+    if name == "too-short":
+        return "flat", "spike", ((None, None),) * 2
+    if name == "anchor-outside-box":
+        # S_0(1/2, 1/2) holds the spike in its sector, but not the box
+        return "flat", "spike", ((semispace(point("0.5", "0.5"), 0), 0),) + ((None, None),) * 2
+    # index 0 is valid for B, and S_0(3/10, 3/10) holds no generator of X in its sector
+    return "B", "X", ((None, None),) * 3
+
+
+@pytest.mark.parametrize("planted", ["too-short", "anchor-outside-box", "valid-index-unblocked"])
+def test_separate_box_rechecks_its_negative(capsys, instance_path, monkeypatch, planted):
+    from maxminconv import cli
     from maxminconv.separation import NonSeparable
 
-    bogus = NonSeparable(reason="planted", witness=point(*witness))
+    box, poly, blockers = planted_blockers(planted)
+    bogus = NonSeparable(reason="planted", blockers=blockers)
     monkeypatch.setattr(cli, "separate_box", lambda b, c, bounds: bogus)
     code, out, err = run(
-        capsys, "separate-box", instance_path, "--box", "flat", "--polytope", "spike"
+        capsys, "separate-box", instance_path, "--box", box, "--polytope", poly
     )
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "internal-error"
-    assert "non-separability witness fails its re-check" in doc["outcome"]["message"]
+    assert "non-separability certificate fails its re-check" in doc["outcome"]["message"]
+
+    code, out, err = run(
+        capsys, "sep-condition", instance_path, "--box", box, "--polytope", poly
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "verification-failed"
+    assert doc["result"]["condition_holds"] is False
 
 
 def test_separate_hyperplane_off_diagonal(capsys, instance_path):
@@ -324,6 +376,21 @@ def test_helly_counterexample(capsys, instance_path):
     assert code == 2
     assert doc["outcome"]["type"] == "CounterexampleSubfamily"
     assert doc["outcome"]["indices"] == [0, 1]
+    # the exact min grid: 1/10, 1/5, 3/10, 4/5 from X and low, and the bounds
+    assert doc["outcome"]["grid_step"] is None
+    assert doc["outcome"]["grid_size"] == 6
+
+
+def test_helly_counterexample_names_its_grid(capsys, instance_path):
+    code, doc, _ = run_json(
+        capsys, "helly", instance_path, "--family", "apart", "--tnorm", "product",
+        "--grid-step", "1/4",
+    )
+    assert code == 2
+    assert doc["outcome"]["type"] == "CounterexampleSubfamily"
+    assert doc["outcome"]["exact"] is False
+    assert doc["outcome"]["grid_step"] == "1/4"
+    assert doc["outcome"]["grid_size"] > 5
 
 
 def test_radon_resolution_exhausted(capsys, tmp_path):
@@ -448,6 +515,63 @@ def test_schema_violation(capsys, tmp_path):
     code, out, err = run(capsys, "semispaces", str(path), "--point", "p")
     assert code == 1
     assert "error:" in err and "schema" in err
+
+
+numerals = st.one_of(
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(0, 3)),
+    st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,3})?", fullmatch=True),
+    st.text(alphabet="0123456789/.-e ", max_size=6),
+    st.integers(-3, 3),
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    numeral=numerals,
+    slot=st.sampled_from(["point", "bounds", "grid_step", "--bounds", "--grid-step"]),
+)
+def test_fuzzed_numerals_never_raise(capsys, tmp_path, numeral, slot):
+    doc_in = {
+        "schema": 1, "points": {"p": ["0.5", "0.5"]}, "polytopes": {"X": [["0.2", "0.8"]]}
+    }
+    argv = []
+    if slot == "point":
+        doc_in["points"]["p"] = [numeral, "0.5"]
+    elif slot == "bounds":
+        doc_in["bounds"] = ["0", numeral]
+    elif slot == "grid_step":
+        doc_in["grid_step"] = numeral
+    else:
+        argv = [slot] + (["0"] if slot == "--bounds" else []) + [str(numeral)]
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc_in))
+    try:
+        code, out, err = run(
+            capsys, "hull-member", str(path), "--point", "p", "--polytope", "X", *argv
+        )
+    except SystemExit as exc:
+        # argparse reads an option value such as "-e" as an option: a usage error
+        code, err = exc.code, capsys.readouterr().err
+        assert code == 2 and "usage:" in err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_zero_denominator_is_an_input_error(capsys, instance_path, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"schema": 1, "points": {"p": ["1/0", "0"]}}))
+    code, out, err = run(capsys, "semispaces", str(path), "--point", "p")
+    assert code == 1
+    assert err == "error: points.p[0]: zero denominator in '1/0'\n"
+    code, out, err = run(
+        capsys, "semispaces", instance_path, "--point", "inside", "--bounds", "0", "1/0"
+    )
+    assert code == 1
+    assert err == "error: bounds[1]: zero denominator in '1/0'\n"
 
 
 def test_missing_file(capsys, tmp_path):

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from maxminconv.cli import _blocked
 from maxminconv.core import UNIT, PreconditionError, SemiringBounds
 from maxminconv.geometry import Point, point
 from maxminconv.hull import Polytope, hull_member, polytope
-from maxminconv.maxt import hull_member_maxt
 from maxminconv.semispaces import (
     NotOnDiagonal,
     hyperplane_contains,
@@ -23,7 +23,6 @@ from maxminconv.separation import (
     Box,
     NonSeparable,
     PointInHull,
-    condition_violation,
     sep_condition,
     separate_box,
     separate_by_hyperplane,
@@ -118,22 +117,14 @@ def test_condition_failure_example():
     b = Box(lower=point("0", "0"), upper=point("1", "0.3"))
     c = polytope([("0.5", "0.6")])
     assert not sep_condition(b, c)
-    assert condition_violation(b, c, UNIT) == point("0.5", "0.6")
+    # u_1 = hi rules out index 0, l = (lo, lo) rules out indices 1 and 2
+    assert separate_box(b, c).blockers == ((None, None),) * 3
 
 
 def test_condition_rejects_overlap():
     b = Box(lower=point("0.1", "0.1"), upper=point("0.9", "0.9"))
     with pytest.raises(PreconditionError):
         sep_condition(b, polytope([("0.5", "0.5")]))
-
-
-def test_condition_violation_is_a_hull_point():
-    b = Box(lower=point("0", "0"), upper=point("1", "0.3"))
-    c = polytope([("0.5", "0.6"), ("0.2", "0.9")])
-    y = condition_violation(b, c, UNIT)
-    assert y is not None
-    assert hull_member(y, c).member
-    assert all(yc >= lc for yc, lc in zip(y.coords, b.lower.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +163,22 @@ def test_separate_box_nonseparable_example():
     c = polytope([("0.5", "0.6")])
     res = separate_box(b, c)
     assert isinstance(res, NonSeparable)
-    assert res.witness == point("0.5", "0.6")
+    assert res.blockers == ((None, None),) * 3
+
+
+def test_separate_box_blockers_name_the_least_sectors():
+    # u_1 = hi rules out index 0; generator 0 lies in {q_1 >= 3/8}, the
+    # least sector of index 1, and in {q_2 >= 5/8}, that of index 2
+    b = Box(lower=point("3/8", "5/8"), upper=point("1", "3/4"))
+    c = polytope([("5/8", "7/8"), ("1/2", "1")])
+    res = separate_box(b, c)
+    assert isinstance(res, NonSeparable)
+    assert res.blockers == (
+        (None, None),
+        (semispace(point("3/8", "5/8"), 1), 0),
+        (semispace(point("5/8", "5/8"), 2), 0),
+    )
+    assert _blocked(b, c, res, UNIT)
 
 
 def test_separate_box_rejects_overlap():
@@ -212,45 +218,29 @@ def first_hull_point_in_box(b: Box, c: Polytope, bounds=UNIT):
     return None
 
 
-def first_violation(b: Box, c: Polytope, bounds=UNIT):
-    """Scan reference: lex-first grid hull point y >= lower with y_i > u_i
-    on the frontier t(B), the descending order of the upper corner cut
-    where it stops dominating the lower corner in that order."""
-    d = b.dim
-    order = sorted(range(d), key=lambda i: (-b.upper[i], i))
-    if b.upper[order[0]] < bounds.hi:
-        return None
-    t = max(
-        k for k in range(d + 1)
-        if all(b.upper[order[k - 1]] >= b.lower[order[i]] for i in range(k))
-    )
-    for coords in itertools.product(coordinate_grid(b, c, bounds), repeat=d):
-        q = Point(coords)
-        if (
-            b.lower.leq(q)
-            and any(q[i] > b.upper[i] for i in order[:t])
-            and hull_member(q, c, bounds).member
-        ):
-            return q
-    return None
-
-
-def test_nonseparable_verdicts_are_exhaustive(rng):
+def test_nonseparable_verdicts_are_exhaustive():
+    """Every NonSeparable box, d 1-3 with a top coordinate anywhere, has no
+    separator on the whole coordinate grid, and its blockers pass the CLI
+    re-check."""
+    rng = random.Random(11)
     checked = 0
-    while checked < 5:
-        lo = random_point(rng, 2, den=4)
-        hi = lo.join(random_point(rng, 2, den=4))
-        hi = Point((Fraction(1), hi[1]))  # force a top coordinate
-        b = Box(lower=lo.meet(hi), upper=hi)
-        c = random_polytope(rng, 2, 2, den=4)
+    while checked < 40:
+        bounds = rng.choice((UNIT, WIDE))
+        d = rng.randint(1, 3)
+        b, c = random_box_instance(rng, d, bounds, 4 if bounds == UNIT else 2)
+        upper = list(b.upper.coords)
+        upper[rng.randrange(d)] = bounds.hi
+        b = Box(lower=b.lower, upper=Point(tuple(upper)))
         try:
-            res = separate_box(b, c)
+            res = separate_box(b, c, bounds)
         except PreconditionError:
             continue
         if not isinstance(res, NonSeparable):
             continue
         checked += 1
-        assert first_grid_separator(b, c, [coordinate_grid(b, c)] * b.dim) is None
+        grid = coordinate_grid(b, c, bounds)
+        assert first_grid_separator(b, c, [grid] * d, bounds) is None
+        assert _blocked(b, c, res, bounds)
 
 
 def test_separable_verdicts_hold(rng):
@@ -271,16 +261,16 @@ def test_separable_verdicts_hold(rng):
         assert sector_contains_box(res, b.lower, b.upper)
 
 
-@pytest.mark.xfail(strict=True, reason="the frontier condition rejects some separable boxes")
 def test_separable_box_with_a_frontier_obstruction():
     # S_3(1/2, 1/4, 1/2) holds the generator and its sector holds the box,
-    # yet the generator exceeds the ceiling on frontier coordinate 3
+    # although the generator dominates the box floor and exceeds its ceiling
     b = Box(lower=point("1/4", "0", "1/2"), upper=point("1", "1/4", "3/4"))
     c = polytope([("1/4", "3/4", "1")])
     s = semispace(point("1/2", "1/4", "1/2"), 3)
     assert all(semispace_contains(s, g) for g in c)
     assert sector_contains_box(s, b.lower, b.upper)
     assert sep_condition(b, c)
+    assert separate_box(b, c) == semispace(point("1/2", "1/4", "1/2"), 3)
 
 
 def random_box_instance(rng, d, bounds, den):
@@ -303,11 +293,13 @@ def random_box_instance(rng, d, bounds, den):
 
 
 def test_box_questions_match_the_grid_scans():
-    """Projections and the closed-form anchor give the scans' lex-first answers."""
+    """Projections and the least sectors give the scans' answers: the
+    lex-first meeting point, the lex-first separator inside B, and a
+    negative exactly when no anchor of the whole grid separates."""
     rng = random.Random(4)
     seen = {"overlap": 0, "separable": 0, "non-separable": 0}
-    for trial in range(300):
-        bounds = WIDE if trial % 3 == 0 else UNIT
+    while seen["separable"] + seen["non-separable"] < 300:
+        bounds = WIDE if rng.random() < 1 / 3 else UNIT
         b, c = random_box_instance(rng, rng.randint(1, 3), bounds, 2 if bounds == WIDE else 4)
         common = first_hull_point_in_box(b, c, bounds)
         if common is not None:
@@ -318,17 +310,18 @@ def test_box_questions_match_the_grid_scans():
                     question(b, c, bounds)
                 assert str(err.value) == message
             continue
-        violation = first_violation(b, c, bounds)
-        assert condition_violation(b, c, bounds) == violation
-        assert sep_condition(b, c, bounds) == (violation is None)
+        grid = coordinate_grid(b, c, bounds)
+        anywhere = first_grid_separator(b, c, [grid] * b.dim, bounds)
+        assert sep_condition(b, c, bounds) == (anywhere is not None)
+        assert anywhere is not None or max(b.upper.coords) == bounds.hi
         res = separate_box(b, c, bounds)
-        if violation is None:
+        if anywhere is not None:
             seen["separable"] += 1
-            grid = coordinate_grid(b, c, bounds)
             assert res == first_grid_separator(b, c, inside_axes(b, grid), bounds)
         else:
             seen["non-separable"] += 1
-            assert isinstance(res, NonSeparable) and res.witness == violation
+            assert isinstance(res, NonSeparable)
+            assert _blocked(b, c, res, bounds)
     assert min(seen.values()) >= 10, seen
 
 
@@ -365,11 +358,11 @@ def test_box_questions_run_without_the_grid_scan(monkeypatch):
     b = Box(lower=point(["0.1"] * d), upper=point(["1"] + ["0.3"] * (d - 1)))
     res = separate_box(b, c)
     assert isinstance(res, NonSeparable)
-    w = res.witness
-    assert hull_member_maxt(w, c).member
-    assert b.lower.leq(w) and not w.leq(b.upper)
+    assert res.blockers[0] == (None, None)
+    for s, n in res.blockers[1:]:
+        assert sector_contains(s, c.generators[n])
+        assert sector_contains_box(s, b.lower, b.upper)
     assert not sep_condition(b, c)
-    assert condition_violation(b, c, UNIT) == w
 
 
 # ---------------------------------------------------------------------------
