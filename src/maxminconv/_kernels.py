@@ -10,10 +10,11 @@ Exact arithmetic lives in the callers; kernels only ever see integers:
 
 The kernels are vectorized numpy: each scan enumerates its grid in
 chunks of flat indices, so the lex-first hit is found without a Python
-loop per candidate.  The product and Lukasiewicz witness scans of
-``maxt`` and the brute-force oracles run on them; min witness searches
-use cyclic projections in ``maxt`` instead and never reach
-``scan_common``.  ``backend_name()`` names the backend for run records.
+loop per candidate.  The brute-force oracles run on them.  Witness
+searches use floored cyclic projections in ``maxt`` and never reach
+``scan_common``, which stays only as the reference the projection
+search is tested against.  ``backend_name()`` names the backend for run
+records.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _member_batch(tag, denom, qs, x):
 def scan_common(tag: int, denom: int, grid, d: int, gens, offs) -> int:
     """Flat index of the lex-first common grid point, or -1.
 
-    Product and Lukasiewicz only; min searches use cyclic projections.
+    Product and Lukasiewicz only; a test reference for ``maxt._common_point``.
     """
     if tag not in (TAG_PRODUCT, TAG_LUKASIEWICZ):
         raise ValueError("scan_common runs product and Lukasiewicz only")

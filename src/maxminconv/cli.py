@@ -13,8 +13,9 @@ Exit codes, stable for scripting:
         object does not exist or was not found (point inside the hull,
         non-separable box, off-diagonal anchor, exhausted resolution,
         failed intersection hypothesis)
-    1   errors: bad schema, violated preconditions, failed verification,
-        internal errors (printed as a document with status "internal-error")
+    1   errors: usage errors, bad schema, violated preconditions, failed
+        verification, internal errors (printed as a document with status
+        "internal-error")
 """
 
 from __future__ import annotations
@@ -815,8 +816,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:
+            raise  # --help and --version
+        return EXIT_ERROR  # a usage error; argparse has printed it
     handlers = args._handlers
 
     if args.command == "oracle-check":

@@ -2,19 +2,20 @@
 
 Membership for a max-T hull is decided by residuation and is exact for
 every built-in t-norm.  The Radon, Helly, centerpoint and Tverberg
-procedures look for the lex-first witness on a finite coordinate grid.
-With the min t-norm the grid built from the input coordinates is exact:
-rounding any witness down to the grid keeps it in every hull at once,
-so a grid miss is a genuine miss.  Min searches do not enumerate the
-grid: cyclic projections onto the homogenized hulls give their greatest
-common point (Gaubert & Sergeev, "Cyclic projectors and separation
-theorems in idempotent convex geometry", 2008), each projection being
-the principal solution of Butkovic, "Max-linear Systems" (2010), and a
-binary search on coordinate caps turns it into the lex-first grid
-point.  The product and Lukasiewicz norms generate values off that
-grid; their searches scan a grid refined by a uniform rational step
-(default 1/100) on the integer kernels and report a miss as
-ResolutionExhausted, naming that grid, instead of claiming emptiness.
+procedures look for the lex-first witness on a finite coordinate grid,
+by one search for every norm: floored cyclic projections onto the
+homogenized hulls give their greatest common grid point (Gaubert &
+Sergeev, "Cyclic projectors and separation theorems in idempotent
+convex geometry", 2008), each projection being the principal solution
+of Butkovic, "Max-linear Systems" (2010), and a binary search on
+coordinate caps turns it into the lex-first grid point.  With the min
+t-norm the grid built from the input coordinates is exact: rounding any
+witness down to the grid keeps it in every hull at once, so a grid miss
+is a genuine miss, and the projections never leave the grid.  The
+product and Lukasiewicz norms generate values off that grid; their
+searches floor each projection onto a grid refined by a uniform
+rational step (default 1/100) and report a miss as ResolutionExhausted,
+naming that grid, instead of claiming emptiness.
 
 Positive results never rely on the search alone: every witness is
 re-verified coordinate by coordinate with exact rational arithmetic.
@@ -23,15 +24,15 @@ re-verified coordinate by coordinate with exact rational arithmetic.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
-from . import _kernels
 from .core import (
+    LUKASIEWICZ_TAG,
     MIN,
+    MIN_TAG,
     PreconditionError,
     ResolutionExhausted,
     TNorm,
@@ -43,7 +44,7 @@ from .geometry import Point, _check_bounds, _check_same_dim
 from .hull import Polytope
 
 DEFAULT_STEP = Fraction(1, 100)
-MAX_FRACTION_DENOM = 10**6
+Encoded = tuple[int, ...]  # a homogenized point as grid ranks or numerators
 
 
 def _validate(pts: Sequence[Point], tnorm: TNorm) -> None:
@@ -53,8 +54,6 @@ def _validate(pts: Sequence[Point], tnorm: TNorm) -> None:
         _check_same_dim(pts[0], p)
     for p in pts:
         _check_bounds(p, tnorm.bounds)
-
-_TAGS = {"product": _kernels.TAG_PRODUCT, "lukasiewicz": _kernels.TAG_LUKASIEWICZ}
 
 
 class NotFound(Exception):
@@ -158,92 +157,133 @@ def _search_grid(
     return value_grid(coords, tnorm.bounds, step=grid_step), grid_step
 
 
-def _common_point_exact(
-    groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]
-) -> Point | None:
-    d = groups[0][0].dim
-    for combo in itertools.product(grid, repeat=d):
-        q = Point(combo)
-        if all(_member_exact(q, g, tnorm) for g in groups):
-            return q
-    return None
-
-
 def _project(
-    y: tuple[int, ...], gens: Sequence[tuple[int, ...]], top: int
-) -> tuple[int, ...]:
-    """Greatest point of the semimodule spanned by gens lying below y.
+    y: Encoded, gens: Sequence[Encoded], top: int, tag: str, floor: Callable
+) -> Encoded:
+    """Greatest point of the semimodule spanned by gens below y, floored.
 
-    The principal solution on rank integers: lam_i = min_j res(v_ij,
-    y_j) with res(a, b) = top if a <= b else b, then max_i min(lam_i, v_i).
+    The principal solution lam_i = min_j res(v_ij, y_j), then
+    max_i T(lam_i, v_ij), on encoded integers.  Min works on ranks, where
+    res(a, b) = top if a <= b else b and the result is on the grid
+    already.  Lukasiewicz and product work on numerators over one common
+    denominator (top is its unit): lam_i stays exact, as an integer under
+    Lukasiewicz and as the ratio (b, a) of two numerators under product,
+    compared by cross-multiplication; only the projected coordinates are
+    floored onto the grid.
     """
-    lams = [min(top if a <= b else b for a, b in zip(v, y)) for v in gens]
-    return tuple(max(min(lam, a) for lam, a in zip(lams, col)) for col in zip(*gens))
+    cols = zip(*gens)
+    if tag == MIN_TAG:
+        lams = [min(top if a <= b else b for a, b in zip(v, y)) for v in gens]
+        return tuple(max(min(lam, a) for lam, a in zip(lams, col)) for col in cols)
+    if tag == LUKASIEWICZ_TAG:
+        lams = [min(top if a <= b else top - a + b for a, b in zip(v, y)) for v in gens]
+        return tuple(
+            floor(max(0, max(lam + a for lam, a in zip(lams, col)) - top)) for col in cols
+        )
+    ratios = []
+    for v in gens:
+        num, den = 1, 1
+        for a, b in zip(v, y):
+            if a > b and b * den < num * a:
+                num, den = b, a
+        ratios.append((num, den))
+    return tuple(
+        floor(max(num * a // den for (num, den), a in zip(ratios, col))) for col in cols
+    )
 
 
 def _greatest_common_point(
-    groups: Sequence[Sequence[tuple[int, ...]]], y: tuple[int, ...], top: int
-) -> tuple[int, ...] | None:
-    """Greatest homogenized point below y in every group's semimodule.
+    groups: Sequence[Sequence[Encoded]], y: Encoded, top: int, tag: str, floor: Callable
+) -> Encoded | None:
+    """Greatest homogenized grid point below y in every group's semimodule.
 
-    Cycles the projections from y until a whole round leaves y fixed
-    (Gaubert & Sergeev's cyclic projectors).  Coordinates only decrease
-    and stay among the values of y and the generators, so the loop ends.
-    Returns None as soon as coordinate 0 drops below top: the fixed
-    point is then no homogenized hull point.
+    Cycles the floored projections from y until a whole round leaves y
+    fixed (Gaubert & Sergeev's cyclic projectors).  A common grid point
+    q below y stays below every iterate, as q = P(q) <= P(y) and q is on
+    the grid; the iterates only decrease on a finite grid, so the loop
+    ends, and at the end P(y) = y for every group.  A floored projection
+    need not be idempotent, so a change restarts the round count from 0.
+    Returns None as soon as coordinate 0 drops below top: no homogenized
+    hull point lies below y then.
     """
     unchanged = 0
     i = 0
     while unchanged < len(groups):
-        z = _project(y, groups[i], top)
+        z = _project(y, groups[i], top, tag, floor)
         if z[0] != top:
             return None
-        unchanged = unchanged + 1 if z == y else 1
+        unchanged = unchanged + 1 if z == y else 0
         y = z
         i = (i + 1) % len(groups)
     return y
 
 
-def _lex_first_min(
-    groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]
-) -> Point | None:
-    """Lex-first grid point in every min hull, found by cyclic projections.
+def _encode(groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]):
+    """Sorted grid, its encoded levels, the encoded unit and generators.
 
-    Generator x becomes (top, x) on the ranks of the sorted grid.  The
-    hulls meet iff the greatest common point of these semimodules has
-    coordinate 0 at top, and its coordinates are grid values.  Coordinate
-    by coordinate, a binary search finds the smallest cap x_j <= v that
-    keeps the hulls meeting; the greatest point under the final caps is
-    the caps themselves, the lex-first witness.  Each run starts from the
-    last greatest point with the cap applied: projections only lower
-    coordinates, so the cap holds throughout and the run ends at the
-    greatest point under the new caps.  That takes O(d log k) runs.
+    Min encodes a value by its rank in the grid, so generator coordinates
+    must be grid values; the other norms use numerators over the common
+    denominator of the grid and the generator coordinates.
     """
     values = sorted(set(grid))
-    rank = {v: i for i, v in enumerate(values)}
-    if tnorm.bounds.hi not in rank:
-        raise PreconditionError("search grid lacks the upper bound %s" % tnorm.bounds.hi)
-    top = rank[tnorm.bounds.hi]
-    try:
-        gens = [[(top, *(rank[c] for c in pt.coords)) for pt in g] for g in groups]
-    except KeyError as exc:
-        raise PreconditionError(
-            "generator coordinate %s is not on the search grid" % exc.args[0]
-        ) from None
+    bounds = tnorm.bounds
+    if bounds.hi not in values:
+        raise PreconditionError("search grid lacks the upper bound %s" % bounds.hi)
+    if tnorm.is_min:
+        rank = {v: i for i, v in enumerate(values)}
+        top = rank[bounds.hi]
+        try:
+            gens = [[(top, *(rank[c] for c in pt.coords)) for pt in g] for g in groups]
+        except KeyError as exc:
+            raise PreconditionError(
+                "generator coordinate %s is not on the search grid" % exc.args[0]
+            ) from None
+        return values, list(range(len(values))), top, gens
+    if bounds.lo not in values:
+        raise PreconditionError("search grid lacks the lower bound %s" % bounds.lo)
+    coords = {c for g in groups for pt in g for c in pt.coords}
+    denom = common_denominator(coords.union(values))
+    levels = [int(v * denom) for v in values]
+    gens = [[(denom, *(int(c * denom) for c in pt.coords)) for pt in g] for g in groups]
+    return values, levels, denom, gens
+
+
+def _lex_first(
+    groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]
+) -> Point | None:
+    """Lex-first grid point in every hull, found by floored cyclic projections.
+
+    Generator x becomes (top, x) on the encoded grid.  The hulls share a
+    grid point iff the greatest common grid point of these semimodules
+    has coordinate 0 at top.  Coordinate by coordinate, a binary search
+    finds the smallest cap x_j <= v that keeps a common grid point; the
+    greatest point under the final caps is the caps themselves, the
+    lex-first witness.  Each run starts from the last greatest point
+    with the cap applied: the iterates only decrease, so the cap holds
+    throughout and the run ends at the greatest point under the new
+    caps.  That takes O(d log k) runs.
+    """
+    values, levels, top, gens = _encode(groups, tnorm, grid)
+    index = {v: i for i, v in enumerate(levels)}
+
+    def floor(x: int) -> int:
+        return levels[bisect_right(levels, x) - 1]
+
+    tag = tnorm.tag
     d = groups[0][0].dim
-    y = _greatest_common_point(gens, (top,) * (d + 1), top)
+    y = _greatest_common_point(gens, (top,) * (d + 1), top, tag, floor)
     if y is None:
         return None
     for j in range(1, d + 1):
-        lo, hi = 0, y[j]
+        lo, hi = 0, index[y[j]]
         while lo < hi:
             mid = (lo + hi) // 2
-            z = _greatest_common_point(gens, y[:j] + (mid,) + y[j + 1:], top)
+            z = _greatest_common_point(gens, y[:j] + (levels[mid],) + y[j + 1:], top, tag, floor)
             if z is None:
                 lo = mid + 1
             else:
-                hi, y = z[j], z
-    return Point(tuple(values[r] for r in y[1:]))
+                hi, y = index[z[j]], z
+    return Point(tuple(values[index[e]] for e in y[1:]))
 
 
 def _common_point(
@@ -251,55 +291,18 @@ def _common_point(
 ) -> Point | None:
     """Lex-first grid point lying in the hull of every group, or None.
 
-    Under min the answer comes from cyclic projections onto the
-    homogenized hulls (``_lex_first_min``), which needs every generator
-    coordinate on the grid.  Product and Lukasiewicz scan the grid on the
-    integer kernels.  Any hit is re-verified with exact rational
-    arithmetic before it is returned.
+    One search for every norm: floored cyclic projections onto the
+    homogenized hulls (``_lex_first``).  Under min the generator
+    coordinates must lie on the grid.  Any hit is re-verified with exact
+    rational arithmetic before it is returned.
     """
-    if tnorm.is_min:
-        q = _lex_first_min(groups, tnorm, grid)
-    else:
-        q = _scan_common_point(groups, tnorm, grid)
+    q = _lex_first(groups, tnorm, grid)
     if q is None:
         return None
     for g in groups:
         if not _member_exact(q, g, tnorm):
             raise AssertionError("search witness failed exact re-verification")
     return q
-
-
-def _scan_common_point(
-    groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]
-) -> Point | None:
-    """Lex-first common grid point by the product or Lukasiewicz kernel scan."""
-    coords = {c for g in groups for pt in g for c in pt.coords}
-    denom = common_denominator(sorted(set(grid) | coords))
-    if denom > MAX_FRACTION_DENOM:
-        return _common_point_exact(groups, tnorm, grid)
-    d = groups[0][0].dim
-    rows = []
-    offs = [0]
-    for g in groups:
-        for pt in g:
-            rows.append([int(c * denom) for c in pt.coords])
-        offs.append(len(rows))
-    flat = _kernels.scan_common(
-        _TAGS[tnorm.tag],
-        denom,
-        np.array([int(v * denom) for v in grid], dtype=np.int64),
-        d,
-        np.array(rows, dtype=np.int64),
-        np.array(offs, dtype=np.int64),
-    )
-    if flat < 0:
-        return None
-    k = len(grid)
-    digits = []
-    for _ in range(d):
-        digits.append(flat % k)
-        flat //= k
-    return Point(tuple(grid[i] for i in reversed(digits)))
 
 
 def _grid_text(grid: Sequence[Fraction], step: Fraction | None) -> str:

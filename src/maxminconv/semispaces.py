@@ -46,14 +46,10 @@ def index_set(p: Point, bounds: SemiringBounds = UNIT) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SemispaceId:
-    """A semispace S_index(anchor); index 0 is the upper semispace.
-
-    ``sort_perm`` is the stable descending order of the anchor coordinates.
-    """
+    """A semispace S_index(anchor); index 0 is the upper semispace."""
 
     anchor: Point
     index: int
-    sort_perm: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -77,8 +73,7 @@ def semispace(p: Point, index: int, bounds: SemiringBounds = UNIT) -> SemispaceI
         raise PreconditionError(
             "index %d not valid for anchor %s; I(p) = %s" % (index, p, list(valid))
         )
-    perm = tuple(sorted(range(len(p)), key=lambda i: (-p[i], i)))
-    return SemispaceId(anchor=p, index=index, sort_perm=perm)
+    return SemispaceId(anchor=p, index=index)
 
 
 def semispace_family(p: Point, bounds: SemiringBounds = UNIT) -> tuple[SemispaceId, ...]:

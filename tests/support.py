@@ -6,10 +6,12 @@ every value stays an exact Fraction and oracle grids stay small.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from maxminconv import Point, Polytope
+from maxminconv.maxt import _member_exact
 
 
 def rational(rng: random.Random, den: int = 8) -> Fraction:
@@ -56,3 +58,17 @@ def planted_join_instance(rng: random.Random, d: int, den: int = 10) -> list[Poi
     pts = base + [joined]
     rng.shuffle(pts)
     return pts
+
+
+def common_point_exact(groups, tnorm, grid):
+    """Lex-first grid point in the hull of every group, by a Fraction scan.
+
+    The reference for ``maxt._common_point``: every point of the k^d
+    grid in lex order, each tested by exact residuation.
+    """
+    d = groups[0][0].dim
+    for combo in itertools.product(grid, repeat=d):
+        q = Point(combo)
+        if all(_member_exact(q, g, tnorm) for g in groups):
+            return q
+    return None

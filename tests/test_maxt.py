@@ -1,6 +1,7 @@
 """Residuated hull membership and the classical theorems under general t-norms."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from maxminconv.core import (
     UNIT,
     PreconditionError,
     ResolutionExhausted,
+    common_denominator,
     tnorm_apply,
+    value_grid,
 )
 from maxminconv.geometry import Point, point
 from maxminconv.hull import Polytope, hull_member, polytope
@@ -26,7 +29,7 @@ from maxminconv.maxt import (
     tverberg_search,
 )
 
-from support import planted_join_instance, random_point, random_polytope
+from support import common_point_exact, planted_join_instance, random_point, random_polytope
 
 ALL_TNORMS = (MIN, PRODUCT, LUKASIEWICZ)
 
@@ -305,22 +308,18 @@ def test_tverberg_wrong_cardinality():
         tverberg_search([point("0.1")] * 5, 1)
 
 
-class _ScanReached(Exception):
-    pass
-
-
-def test_min_searches_run_without_the_grid_scan(rng, monkeypatch):
-    """Under min every witness search is decided by projections, never by the k^d scan."""
+def test_witness_searches_run_without_the_grid_scan(rng, monkeypatch):
+    """Every witness search, under every norm, runs on projections, never on the k^d scan."""
     from maxminconv import _kernels
     from maxminconv.hull import colorful_strong
 
     def refuse(*args):
-        raise _ScanReached()
+        raise AssertionError("the k^d grid scan was reached")
 
     monkeypatch.setattr(_kernels, "scan_common", refuse)
 
-    def inside(q, gens):
-        return hull_member_maxt(q, Polytope(tuple(gens))).member
+    def inside(q, gens, tnorm=MIN):
+        return hull_member_maxt(q, Polytope(tuple(gens)), tnorm).member
 
     pts = [random_point(rng, 6, den=1000) for _ in range(8)]
     # 40-odd grid values per coordinate: a scan would visit some 40^6 points
@@ -352,8 +351,66 @@ def test_min_searches_run_without_the_grid_scan(rng, monkeypatch):
     picked = [colors[i].generators[k] for i, k in sorted(res.choice.items())]
     assert inside(res.witness, c.generators) and inside(res.witness, picked)
 
-    with pytest.raises(_ScanReached):
-        radon_partition(planted_join_instance(rng, 2), PRODUCT)
+    for tnorm in (PRODUCT, LUKASIEWICZ):
+        pts = planted_join_instance(rng, 2)
+        rp = radon_partition(pts, tnorm)
+        for part in (rp.part1, rp.part2):
+            assert inside(rp.witness, [pts[i] for i in part], tnorm)
+
+
+@pytest.mark.parametrize(
+    "tnorm, groups, step",
+    [
+        (PRODUCT, [[("0", "3/4"), ("3/4", "1/4")], [("0", "0"), ("1/4", "1")]], "1/8"),
+        (LUKASIEWICZ, [[("0", "1/5"), ("4/5", "3/5")], [("4/5", "1"), ("3/5", "0")]], "1/4"),
+    ],
+    ids=["product", "lukasiewicz"],
+)
+def test_floored_fixed_point_reprojects_after_every_change(tnorm, groups, step):
+    """A floored projection need not land in its semimodule.
+
+    So a group that changed y must be projected again before y counts
+    as fixed; counting it as done at once ends these searches at a grid
+    point outside a hull.
+    """
+    from maxminconv.maxt import _common_point
+
+    groups = [[point(*q) for q in g] for g in groups]
+    grid = value_grid([c for g in groups for q in g for c in q.coords], UNIT, step=step)
+    assert _common_point(groups, tnorm, grid) == common_point_exact(groups, tnorm, grid)
+
+
+def test_large_denominator_searches_finish_within_budget():
+    """Coordinates over 1009 and 1013 put the common denominator past 10^6.
+
+    The search works on integer numerators over that denominator, so
+    such instances take the same projection search as any other: no
+    Fraction scan of the 10^6-point grid.
+    """
+    a, b = 1009, 1013
+
+    def pt(*nums):
+        return Point(tuple(Fraction(n, den) for n, den in zip(nums, (a, b, a))))
+
+    pts = [pt(100, 900, 500), pt(700, 200, 300), pt(400, 600, 900), pt(900, 100, 100)]
+    joined = pts[0]
+    for q in pts[1:]:
+        joined = joined.join(q)
+    pts.append(joined)
+    assert common_denominator(c for q in pts for c in q.coords) > 10**6
+    start = time.perf_counter()
+    rp = radon_partition(pts, PRODUCT)
+    for part in (rp.part1, rp.part2):
+        assert hull_member_maxt(rp.witness, Polytope(tuple(pts[i] for i in part)), PRODUCT)
+
+    core = pt(505, 506, 507)
+    family = [
+        Polytope((core, pt(100 * i, 900, 50 * i), pt(1000, 100 * i, 900))) for i in range(1, 6)
+    ]
+    out = helly_check(family, LUKASIEWICZ)
+    assert isinstance(out, CommonWitness)
+    assert all(hull_member_maxt(out.point, poly, LUKASIEWICZ) for poly in family)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_min_search_needs_generator_coordinates_on_the_grid():

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxminconv import _kernels
 from maxminconv.core import (
@@ -13,12 +15,13 @@ from maxminconv.core import (
     PreconditionError,
     SemiringBounds,
     TNorm,
+    common_denominator,
     value_grid,
 )
 from maxminconv.geometry import Point, point, segment_contains, segment_point
 from maxminconv.hull import hull_member, polytope
 from maxminconv.koenig import Matrix, bottleneck_threshold
-from maxminconv.maxt import _common_point, _common_point_exact
+from maxminconv.maxt import _common_point
 from maxminconv.oracle import (
     MAX_GENERATORS,
     MAX_GRID,
@@ -29,7 +32,7 @@ from maxminconv.oracle import (
     brute_segment,
 )
 
-from support import random_point, random_polytope
+from support import common_point_exact, random_point, random_polytope
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +223,7 @@ def _random_groups(rng, d, bounds, den, max_points):
     ids=["min-unit", "min-extended", "min-step", "product", "lukasiewicz"],
 )
 def test_scan_kernel_matches_exact_common_point(rng, tnorm, den, step, max_d, max_points):
-    """The min projections and the integer scan find the Fraction scan's lex-first point."""
+    """The projection search finds the Fraction scan's lex-first point."""
     outcomes = set()
     for _ in range(40):
         d = rng.randint(1, max_d)
@@ -229,7 +232,48 @@ def test_scan_kernel_matches_exact_common_point(rng, tnorm, den, step, max_d, ma
         grid = value_grid(coords, tnorm.bounds, step=step)
         if len(grid) ** d > 20000:
             continue  # keeps the Fraction reference scan fast
-        expected = _common_point_exact(groups, tnorm, grid)
+        expected = common_point_exact(groups, tnorm, grid)
         assert _common_point(groups, tnorm, grid) == expected
         outcomes.add(expected is None)
     assert outcomes == {True, False}
+
+
+def _kernel_scan(groups, tnorm, grid):
+    """Lex-first common grid point by the numpy scan kernel, or None."""
+    coords = {c for g in groups for q in g for c in q.coords}
+    denom = common_denominator(coords.union(grid))
+    rows = [[int(c * denom) for c in q.coords] for g in groups for q in g]
+    offs = np.cumsum([0] + [len(g) for g in groups])
+    tag = {"product": _kernels.TAG_PRODUCT, "lukasiewicz": _kernels.TAG_LUKASIEWICZ}
+    d = groups[0][0].dim
+    flat = _kernels.scan_common(
+        tag[tnorm.tag], denom, np.array([int(v * denom) for v in grid]), d, np.array(rows), offs
+    )
+    if flat < 0:
+        return None
+    digits = []
+    for _ in range(d):
+        flat, digit = divmod(flat, len(grid))
+        digits.append(grid[digit])
+    return Point(tuple(reversed(digits)))
+
+
+@st.composite
+def _grid_searches(draw):
+    tnorm = draw(st.sampled_from([PRODUCT, LUKASIEWICZ]))
+    d = draw(st.integers(1, 3))
+    den = draw(st.sampled_from([4, 5, 6, 8, 10]))
+    value = st.integers(0, den).map(lambda k: Fraction(k, den))
+    pt = st.tuples(*[value] * d).map(Point)
+    groups = draw(st.lists(st.lists(pt, min_size=1, max_size=3), min_size=1, max_size=3))
+    step = Fraction(1, draw(st.integers(4, 20)))
+    coords = [c for g in groups for q in g for c in q.coords]
+    return tnorm, groups, value_grid(coords, UNIT, step=step)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_searches())
+def test_projection_search_matches_the_kernel_scan(search):
+    """Floored projections find the scan kernel's lex-first point, or miss with it."""
+    tnorm, groups, grid = search
+    assert _common_point(groups, tnorm, grid) == _kernel_scan(groups, tnorm, grid)

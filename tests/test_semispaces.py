@@ -64,11 +64,6 @@ def test_invalid_index_rejected():
         semispace(point("0.5", "0"), 2)
 
 
-def test_sort_perm_is_stable():
-    s = semispace(point("0.5", "0.2", "0.5"), 0)
-    assert s.sort_perm == (0, 2, 1)
-
-
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
