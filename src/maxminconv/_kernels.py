@@ -8,18 +8,16 @@ Exact arithmetic lives in the callers; kernels only ever see integers:
   denominator D.  Lukasiewicz is closed on that grid
   (max(0, a + b - D)); product comparisons cross-multiply, never divide.
 
-The kernels are vectorized numpy: each scan enumerates its grid in
-chunks of flat indices, so the lex-first hit is found without a Python
-loop per candidate.  The brute-force oracles run on them.  Witness
-searches use floored cyclic projections in ``maxt`` and never reach
-``scan_common``, which stays only as the reference the projection
-search is tested against.  ``backend_name()`` names the backend for run
-records.
+``bf_hull_eval``, the kernel of the brute-force oracle, is pure Python:
+it builds the reachable partial joins one generator at a time, so the
+CLI never imports numpy.  ``scan_common`` and ``_member_batch`` are
+vectorized numpy and import it when called; no CLI path reaches them,
+and the scan stays only as the reference the projection search in
+``maxt`` is tested against.  ``backend_name()`` names the scan's
+backend for run records.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 TAG_MIN = 0
 TAG_PRODUCT = 1
@@ -30,7 +28,9 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _digits(flat: np.ndarray, base: int, width: int) -> np.ndarray:
+def _digits(flat, base: int, width: int):
+    import numpy as np
+
     out = np.empty((flat.shape[0], width), dtype=np.int64)
     rem = flat.copy()
     for pos in range(width - 1, -1, -1):
@@ -39,35 +39,39 @@ def _digits(flat: np.ndarray, base: int, width: int) -> np.ndarray:
     return out
 
 
-def bf_hull_eval(tag: int, denom: int, lam_vals, x, ps, top: int):
-    """Grid-combination membership flags for each candidate row of ps."""
-    lam_vals = np.ascontiguousarray(lam_vals, dtype=np.int64)
-    x = np.ascontiguousarray(x, dtype=np.int64)
-    ps = np.ascontiguousarray(ps, dtype=np.int64)
-    k = int(lam_vals.shape[0])
-    m, d = x.shape
-    out = np.zeros(ps.shape[0], dtype=bool)
-    total = k**m
-    chunk = max(1, 4_000_000 // max(1, m * d))
-    targets = ps * denom if tag == TAG_PRODUCT else ps
-    for s in range(0, total, chunk):
-        n = min(chunk, total - s)
-        lam = lam_vals[_digits(np.arange(s, s + n, dtype=np.int64), k, m)]
-        lam = lam[lam.max(axis=1) == top]
-        if lam.shape[0] == 0:
-            continue
-        if tag == TAG_MIN:
-            terms = np.minimum(lam[:, :, None], x[None, :, :])
-        elif tag == TAG_PRODUCT:
-            terms = lam[:, :, None] * x[None, :, :]
-        else:
-            terms = np.maximum(lam[:, :, None] + x[None, :, :] - denom, 0)
-        z = terms.max(axis=1)
-        eq = (z[:, None, :] == targets[None, :, :]).all(axis=2)
-        out |= eq.any(axis=0)
-        if out.all():
-            break
-    return out
+def bf_hull_eval(tag: int, denom: int, lam_vals, x, ps, top: int) -> list[bool]:
+    """Grid-combination membership flags for each candidate row of ps.
+
+    Candidate p is a member when some choice of lam_i in lam_vals (values
+    up to top), one per generator row x_i and with some lam_i = top, gives
+    max_i T(lam_i, x_i) = p (p scaled by denom under product, whose terms
+    carry denom twice).
+    Rather than visit all k^m choices, the reachable (partial join, some
+    lam = top) pairs are built one generator at a time, from the zero
+    vector (every encoding is non-negative, so it is the join's identity);
+    a term above the componentwise max of the candidates is dropped,
+    because a join only grows.
+    """
+    targets = [tuple(v * denom for v in p) if tag == TAG_PRODUCT else tuple(p) for p in ps]
+    ceiling = tuple(map(max, zip(*targets)))
+    reach = {((0,) * len(ceiling), False)}
+    for row in x:
+        terms = set()
+        for lam in lam_vals:
+            if tag == TAG_MIN:
+                term = tuple(lam if lam < v else v for v in row)
+            elif tag == TAG_PRODUCT:
+                term = tuple(lam * v for v in row)
+            else:
+                term = tuple(max(lam + v - denom, 0) for v in row)
+            if all(t <= c for t, c in zip(term, ceiling)):
+                terms.add((term, lam == top))
+        reach = {
+            (tuple(a if a > b else b for a, b in zip(z, term)), used or is_top)
+            for z, used in reach
+            for term, is_top in terms
+        }
+    return [(t, True) in reach for t in targets]
 
 
 def _member_batch(tag, denom, qs, x):
@@ -75,6 +79,8 @@ def _member_batch(tag, denom, qs, x):
 
     Product or Lukasiewicz, on numerators over denom.
     """
+    import numpy as np
+
     qe = qs[:, None, :]
     xe = x[None, :, :]
     if tag == TAG_PRODUCT:
@@ -107,6 +113,8 @@ def scan_common(tag: int, denom: int, grid, d: int, gens, offs) -> int:
     """
     if tag not in (TAG_PRODUCT, TAG_LUKASIEWICZ):
         raise ValueError("scan_common runs product and Lukasiewicz only")
+    import numpy as np
+
     grid = np.ascontiguousarray(grid, dtype=np.int64)
     gens = np.ascontiguousarray(gens, dtype=np.int64)
     offs = np.ascontiguousarray(offs, dtype=np.int64)

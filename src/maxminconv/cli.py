@@ -21,6 +21,7 @@ Exit codes, stable for scripting:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -716,7 +717,14 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="override the witness grid refinement step")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    Parsing keeps no state in the parser: every call gets a fresh
+    namespace, no option has a mutable default, and the handlers travel
+    in ``set_defaults``.
+    """
     parser = argparse.ArgumentParser(
         prog="maxminconv",
         description="exact max-min convexity computations",
@@ -815,6 +823,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal_error(doc: dict[str, Any], exc: Exception) -> int:
+    """Print an uncaught exception as an "internal-error" document.
+
+    Soundness alarms, failed re-verifications and "this is a bug" checks
+    raise AssertionError; any other exception reaching ``main`` is a bug
+    too, and gets the same document instead of a traceback.
+    """
+    doc["outcome"] = {"type": type(exc).__name__, "message": str(exc)}
+    doc["status"] = "internal-error"
+    print(json.dumps(doc, indent=2))
+    print("error: internal error: %s" % exc, file=sys.stderr)
+    return EXIT_ERROR
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -825,7 +847,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = args._handlers
 
     if args.command == "oracle-check":
-        doc, code = _cmd_oracle_check(args)
+        try:
+            doc, code = _cmd_oracle_check(args)
+        except Exception as exc:
+            return _internal_error({"command": args.command}, exc)
         print(json.dumps(doc, indent=2))
         return code
 
@@ -850,13 +875,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, PreconditionError, InvalidDiagram, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    except AssertionError as exc:
-        # soundness alarms, failed re-verifications and "this is a bug" checks
-        doc["outcome"] = {"type": type(exc).__name__, "message": str(exc)}
-        doc["status"] = "internal-error"
-        print(json.dumps(doc, indent=2))
-        print("error: internal error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as exc:
+        return _internal_error(doc, exc)
 
     if args.command == "render" and "svg" in result and not args.svg:
         # raw figure to stdout, byte-deterministic

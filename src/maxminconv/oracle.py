@@ -3,9 +3,11 @@
 Everything here recomputes results from definitions: hull membership by
 enumerating coefficient tuples over a finite grid, segments by
 enumerating two-point combinations, bottlenecks by trying every row
-choice and bijection.  None of it calls the algorithms under test; the
-only shared machinery is the integer kernel backend, which the oracle
-uses through its own enumeration entry point.
+choice and bijection.  None of it calls the algorithms under test; hull
+membership runs on the pure-Python enumeration kernel
+``_kernels.bf_hull_eval``, which no algorithm under test uses, and
+``brute_hull_member(accel=False)`` keeps the plain Fraction loop it is
+tested against.  Nothing here imports numpy.
 
 Deliberately small: guards refuse instances where enumeration would not
 be exhaustive in reasonable time.
@@ -17,8 +19,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from . import _kernels
 from .core import (
@@ -120,11 +120,10 @@ def brute_hull_members(
             )
         top = denom
         enc = lambda v: int(v * denom)
-    lam_vals = np.array([enc(v) for v in values], dtype=np.int64)
-    x = np.array([[enc(c) for c in g.coords] for g in generators], dtype=np.int64)
-    ps = np.array([[enc(c) for c in q.coords] for q in candidates], dtype=np.int64)
-    flags = _kernels.bf_hull_eval(_TAGS[tnorm.tag], denom, lam_vals, x, ps, top)
-    return [bool(f) for f in flags]
+    lam_vals = [enc(v) for v in values]
+    x = [[enc(c) for c in g.coords] for g in generators]
+    ps = [[enc(c) for c in q.coords] for q in candidates]
+    return _kernels.bf_hull_eval(_TAGS[tnorm.tag], denom, lam_vals, x, ps, top)
 
 
 def brute_hull_member(

@@ -1,10 +1,16 @@
 """CLI plumbing: exit codes, JSON documents, verification blocks, overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import maxminconv
+from maxminconv import cli
 from maxminconv.cli import main
 
 BASE = {
@@ -77,6 +83,16 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def run_python(*args):
+    """Run ``python *args`` in a fresh process that imports this checkout."""
+    src = str(Path(maxminconv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +471,30 @@ def test_internal_error_is_a_document(capsys, intervals_path, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_any_uncaught_exception_is_an_internal_error(capsys, intervals_path, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("handler exploded")
+
+    monkeypatch.setitem(cli.build_parser().get_default("_handlers"), "radon", boom)
+    code, out, err = run(capsys, "radon", intervals_path, "--pointset", "line")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["command"] == "radon" and doc["instance"] == intervals_path
+    assert doc["status"] == "internal-error"
+    assert doc["outcome"] == {"type": "RuntimeError", "message": "handler exploded"}
+    assert err == "error: internal error: handler exploded\n"
+
+    monkeypatch.setattr(cli, "_cmd_oracle_check", boom)
+    code, out, err = run(capsys, "oracle-check", "--trials", "1")
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "oracle-check",
+        "outcome": {"type": "RuntimeError", "message": "handler exploded"},
+        "status": "internal-error",
+    }
+    assert err == "error: internal error: handler exploded\n"
+
+
 # ---------------------------------------------------------------------------
 # overrides
 # ---------------------------------------------------------------------------
@@ -558,6 +598,7 @@ def test_fuzzed_numerals_never_raise(capsys, tmp_path, numeral, slot):
         assert ": error: " in err.splitlines()[-1]
     elif code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not err.startswith("error: internal error")
 
 
 def test_usage_errors_exit_1(capsys, instance_path):
@@ -574,6 +615,51 @@ def test_usage_errors_exit_1(capsys, instance_path):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0 and "usage: maxminconv" in capsys.readouterr().out
+
+
+def test_cached_parser_keeps_calls_apart(capsys, instance_path, intervals_path, monkeypatch):
+    """One process, many calls: no option or usage error leaks into the next call."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    calls = [
+        ["helly", instance_path, "--family", "apart", "--tnorm", "product", "--grid-step", "1/4"],
+        ["helly", instance_path, "--family", "apart"],
+        ["semispaces", instance_path, "--point", "inside", "--bounds", "1/2", "1"],
+        ["semispaces", instance_path, "--point", "inside"],
+        ["intsep", instance_path, "--pointset", "sorted3", "--sorted"],
+        ["intsep", instance_path, "--pointset", "sorted3"],
+        ["tverberg", intervals_path, "--pointset", "five", "--r", "3"],
+        ["tverberg", intervals_path, "--pointset", "five"],
+        ["tverberg", intervals_path, "--pointset", "line", "--r", "2"],
+        ["hull-member", instance_path, "--point", "p", "--polytope", "X", "--bounds", "0", "-e"],
+        ["hull-member", instance_path, "--point", "inside", "--polytope", "X"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        proc = run_python("-m", "maxminconv.cli", *argv)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in in_process] == [2, 2, 1, 0, 0, 0, 0, 1, 0, 1, 0]
+    # each option shows in its call's document, so a leak would show in the next
+    for first, second in [(0, 1), (2, 3), (6, 8)]:
+        assert in_process[first][1] != in_process[second][1]
+
+
+def test_cli_commands_do_not_import_numpy(instance_path, intervals_path):
+    script = (
+        "import json, sys\n"
+        "from maxminconv import cli\n"
+        "codes = [cli.main(a) for a in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    calls = [
+        ["radon", intervals_path, "--pointset", "line"],
+        ["helly", instance_path, "--family", "good", "--tnorm", "product"],
+        ["oracle-check", "--trials", "8"],
+    ]
+    proc = run_python("-c", script, json.dumps(calls))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "numpy": False}
 
 
 def test_zero_denominator_is_an_input_error(capsys, instance_path, tmp_path):

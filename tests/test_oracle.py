@@ -133,16 +133,48 @@ def test_brute_batch_matches_singles(rng):
     assert batch == singles
 
 
-def test_brute_accel_flag_equivalence(rng):
-    """The integer kernel path and the plain Fraction loop must agree."""
-    for tnorm in (MIN, PRODUCT):
-        for _ in range(15):
-            p = random_point(rng, 2, den=4)
-            x = random_polytope(rng, 2, 2, den=4)
-            grid = GridSpec.from_inputs([p] + list(x.generators))
-            fast = brute_hull_member(p, x.generators, grid, tnorm=tnorm, accel=True)
-            slow = brute_hull_member(p, x.generators, grid, tnorm=tnorm, accel=False)
-            assert fast == slow
+@st.composite
+def _hull_instances(draw):
+    """Generators, a grid, candidates and the position of a planted hit among them."""
+    tnorm = draw(st.sampled_from([MIN, PRODUCT, LUKASIEWICZ]))
+    d = draw(st.integers(1, 3))
+    den = draw(st.integers(2, 4))
+    value = st.integers(0, den).map(lambda k: Fraction(k, den))
+    pt = st.tuples(*[value] * d).map(Point)
+    gens = draw(st.lists(pt, min_size=1, max_size=4))
+    step = draw(st.sampled_from([None, Fraction(1, 2), Fraction(1, 3)]))
+    grid = GridSpec.from_inputs(gens, step=step)
+    values = grid.axis_values()
+    lam = draw(st.lists(st.sampled_from(values), min_size=len(gens), max_size=len(gens)))
+    lam[draw(st.integers(0, len(gens) - 1))] = grid.bounds.hi
+    hit = Point(tuple(
+        max(tnorm.apply(l, g[j]) for l, g in zip(lam, gens)) for j in range(d)
+    ))
+    candidates = draw(st.lists(pt, min_size=1, max_size=4))
+    pos = draw(st.integers(0, len(candidates)))
+    return tnorm, gens, grid, candidates[:pos] + [hit] + candidates[pos:], pos
+
+
+def test_brute_accel_flag_equivalence():
+    """The integer kernel and the plain Fraction loop agree, on hits and misses.
+
+    Several candidates share one enumeration, so the kernel's ceiling is
+    the join of all of them, not of the candidate it decides.
+    """
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hull_instances())
+    def check(instance):
+        tnorm, gens, grid, candidates, pos = instance
+        fast = brute_hull_members(candidates, gens, grid, tnorm=tnorm)
+        slow = [brute_hull_member(q, gens, grid, tnorm=tnorm, accel=False) for q in candidates]
+        assert fast == slow
+        assert fast[pos]
+        seen.update(fast)
+
+    check()
+    assert seen == {True, False}
 
 
 def test_brute_product_example():
