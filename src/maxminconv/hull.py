@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import PreconditionError, SemiringBounds, TNorm, MIN, UNIT, value_grid
+from .core import PreconditionError, SemiringBounds, TNorm, MIN, UNIT
 from .geometry import Point, _check_bounds
 from .koenig import internal_separation
 from .semispaces import SemispaceId, index_set, sector_contains, semispace
@@ -187,13 +187,16 @@ def _find_meeting_point(c: Polytope, cls: Polytope, bounds: SemiringBounds) -> P
     the min t-norm: hull membership only depends on how a point's
     coordinates interleave with the generator coordinates, so rounding a
     common point down to the grid keeps it in both hulls.  The search is
-    the shared min witness search of ``maxt`` on these bounds, cyclic
-    projections onto the two homogenized hulls.
+    the shared min witness search of ``maxt`` on these bounds: one
+    search context over the generators of both, whose two groups are
+    the index ranges of C and of cls, and cyclic projections onto the
+    two homogenized hulls.
     """
-    from .maxt import _common_point
+    from .maxt import _common_point, _search
 
-    grid = value_grid(list(c.coordinates()) + list(cls.coordinates()), bounds)
-    return _common_point([c.generators, cls.generators], TNorm("min", bounds), grid)
+    search = _search(c.generators + cls.generators, TNorm("min", bounds), None)
+    n = len(c)
+    return _common_point(search, (range(n), range(n, n + len(cls))))
 
 
 def colorful_strong(

@@ -15,7 +15,10 @@ is a genuine miss, and the projections never leave the grid.  The
 product and Lukasiewicz norms generate values off that grid; their
 searches floor each projection onto a grid refined by a uniform
 rational step (default 1/100) and report a miss as ResolutionExhausted,
-naming that grid, instead of claiming emptiness.
+naming that grid, instead of claiming emptiness.  Each question is
+encoded once: one search context holds its points, its grid and every
+value as an integer numerator over the grid's common denominator, for
+every norm, and the groups it searches are tuples of point indices.
 
 Positive results never rely on the search alone: every witness is
 re-verified coordinate by coordinate with exact rational arithmetic.
@@ -24,7 +27,7 @@ re-verified coordinate by coordinate with exact rational arithmetic.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -44,7 +47,7 @@ from .geometry import Point, _check_bounds, _check_same_dim
 from .hull import Polytope
 
 DEFAULT_STEP = Fraction(1, 100)
-Encoded = tuple[int, ...]  # a homogenized point as grid ranks or numerators
+Encoded = tuple[int, ...]  # a homogenized point as numerators over the grid's denominator
 
 
 def _validate(pts: Sequence[Point], tnorm: TNorm) -> None:
@@ -147,14 +150,36 @@ def hull_member_maxt(p: Point, x: Polytope, tnorm: TNorm = MIN) -> MaxTMembershi
     return MaxTMembership(member=member, coefficients=lams, combination=combo)
 
 
-def _search_grid(
-    points: Sequence[Point], tnorm: TNorm, grid_step: Fraction | None
-) -> tuple[tuple[Fraction, ...], Fraction | None]:
-    """The witness search grid and the step it was refined by."""
+@dataclass(frozen=True)
+class _Search:
+    """One witness question over ``points``, encoded once.
+
+    ``grid`` holds the point coordinates and both bounds, refined by
+    ``step`` (None for the exact min grid).  Every value is kept as its
+    numerator over the common denominator of the grid: ``levels`` for
+    the grid, ``top`` for hi, and ``gens[i]`` for points[i] homogenized
+    to (top, x).  Groups of generators are tuples of point indices.
+    """
+
+    points: tuple[Point, ...]
+    tnorm: TNorm
+    step: Fraction | None
+    grid: tuple[Fraction, ...]
+    levels: tuple[int, ...]
+    top: int
+    gens: tuple[Encoded, ...]
+
+
+def _search(points: Sequence[Point], tnorm: TNorm, grid_step: Fraction | None) -> _Search:
     if grid_step is None and not tnorm.is_min:
         grid_step = DEFAULT_STEP
-    coords = [c for p in points for c in p.coords]
-    return value_grid(coords, tnorm.bounds, step=grid_step), grid_step
+    grid = value_grid([c for p in points for c in p.coords], tnorm.bounds, step=grid_step)
+    denom = common_denominator(grid)
+    levels = tuple(v.numerator * (denom // v.denominator) for v in grid)
+    level = dict(zip(grid, levels))
+    top = level[tnorm.bounds.hi]
+    gens = tuple((top, *(level[c] for c in p.coords)) for p in points)
+    return _Search(tuple(points), tnorm, grid_step, grid, levels, top, gens)
 
 
 def _project(
@@ -163,10 +188,10 @@ def _project(
     """Greatest point of the semimodule spanned by gens below y, floored.
 
     The principal solution lam_i = min_j res(v_ij, y_j), then
-    max_i T(lam_i, v_ij), on encoded integers.  Min works on ranks, where
-    res(a, b) = top if a <= b else b and the result is on the grid
-    already.  Lukasiewicz and product work on numerators over one common
-    denominator (top is its unit): lam_i stays exact, as an integer under
+    max_i T(lam_i, v_ij), on numerators over the grid's common
+    denominator (top is the numerator of hi).  Under min res(a, b) = top
+    if a <= b else b, and the result is on the grid already.  Under
+    Lukasiewicz and product lam_i stays exact, as an integer under
     Lukasiewicz and as the ratio (b, a) of two numerators under product,
     compared by cross-multiplication; only the projected coordinates are
     floored onto the grid.
@@ -218,44 +243,12 @@ def _greatest_common_point(
     return y
 
 
-def _encode(groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]):
-    """Sorted grid, its encoded levels, the encoded unit and generators.
-
-    Min encodes a value by its rank in the grid, so generator coordinates
-    must be grid values; the other norms use numerators over the common
-    denominator of the grid and the generator coordinates.
-    """
-    values = sorted(set(grid))
-    bounds = tnorm.bounds
-    if bounds.hi not in values:
-        raise PreconditionError("search grid lacks the upper bound %s" % bounds.hi)
-    if tnorm.is_min:
-        rank = {v: i for i, v in enumerate(values)}
-        top = rank[bounds.hi]
-        try:
-            gens = [[(top, *(rank[c] for c in pt.coords)) for pt in g] for g in groups]
-        except KeyError as exc:
-            raise PreconditionError(
-                "generator coordinate %s is not on the search grid" % exc.args[0]
-            ) from None
-        return values, list(range(len(values))), top, gens
-    if bounds.lo not in values:
-        raise PreconditionError("search grid lacks the lower bound %s" % bounds.lo)
-    coords = {c for g in groups for pt in g for c in pt.coords}
-    denom = common_denominator(coords.union(values))
-    levels = [int(v * denom) for v in values]
-    gens = [[(denom, *(int(c * denom) for c in pt.coords)) for pt in g] for g in groups]
-    return values, levels, denom, gens
-
-
-def _lex_first(
-    groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]
-) -> Point | None:
+def _lex_first(search: _Search, groups: Sequence[Sequence[Encoded]]) -> Point | None:
     """Lex-first grid point in every hull, found by floored cyclic projections.
 
-    Generator x becomes (top, x) on the encoded grid.  The hulls share a
-    grid point iff the greatest common grid point of these semimodules
-    has coordinate 0 at top.  Coordinate by coordinate, a binary search
+    Generator x is encoded as (top, x).  The hulls share a grid point
+    iff the greatest common grid point of these semimodules has
+    coordinate 0 at top.  Coordinate by coordinate, a binary search
     finds the smallest cap x_j <= v that keeps a common grid point; the
     greatest point under the final caps is the caps themselves, the
     lex-first witness.  Each run starts from the last greatest point
@@ -263,66 +256,60 @@ def _lex_first(
     throughout and the run ends at the greatest point under the new
     caps.  That takes O(d log k) runs.
     """
-    values, levels, top, gens = _encode(groups, tnorm, grid)
-    index = {v: i for i, v in enumerate(levels)}
+    levels, top, tag = search.levels, search.top, search.tnorm.tag
 
     def floor(x: int) -> int:
         return levels[bisect_right(levels, x) - 1]
 
-    tag = tnorm.tag
-    d = groups[0][0].dim
-    y = _greatest_common_point(gens, (top,) * (d + 1), top, tag, floor)
+    d = len(groups[0][0]) - 1
+    y = _greatest_common_point(groups, (top,) * (d + 1), top, tag, floor)
     if y is None:
         return None
     for j in range(1, d + 1):
-        lo, hi = 0, index[y[j]]
+        lo, hi = 0, bisect_left(levels, y[j])
         while lo < hi:
             mid = (lo + hi) // 2
-            z = _greatest_common_point(gens, y[:j] + (levels[mid],) + y[j + 1:], top, tag, floor)
+            z = _greatest_common_point(groups, y[:j] + (levels[mid],) + y[j + 1:], top, tag, floor)
             if z is None:
                 lo = mid + 1
             else:
-                hi, y = index[z[j]], z
-    return Point(tuple(values[index[e]] for e in y[1:]))
+                hi, y = bisect_left(levels, z[j]), z
+    return Point(tuple(search.grid[bisect_left(levels, e)] for e in y[1:]))
 
 
-def _common_point(
-    groups: Sequence[Sequence[Point]], tnorm: TNorm, grid: Sequence[Fraction]
-) -> Point | None:
+def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> Point | None:
     """Lex-first grid point lying in the hull of every group, or None.
 
-    One search for every norm: floored cyclic projections onto the
-    homogenized hulls (``_lex_first``).  Under min the generator
-    coordinates must lie on the grid.  Any hit is re-verified with exact
-    rational arithmetic before it is returned.
+    Each group is a tuple of indices into ``search.points``.  One search
+    for every norm: floored cyclic projections onto the homogenized
+    hulls (``_lex_first``).  Any hit is re-verified with exact rational
+    arithmetic before it is returned.
     """
-    q = _lex_first(groups, tnorm, grid)
+    q = _lex_first(search, [[search.gens[i] for i in g] for g in groups])
     if q is None:
         return None
     for g in groups:
-        if not _member_exact(q, g, tnorm):
+        if not _member_exact(q, [search.points[i] for i in g], search.tnorm):
             raise AssertionError("search witness failed exact re-verification")
     return q
 
 
-def _grid_text(grid: Sequence[Fraction], step: Fraction | None) -> str:
-    text = "%d values per coordinate" % len(grid)
-    return text if step is None else text + ", step %s" % step
+def _grid_text(search: _Search) -> str:
+    text = "%d values per coordinate" % len(search.grid)
+    return text if search.step is None else text + ", step %s" % search.step
 
 
-def _miss(
-    tnorm: TNorm, what: str, grid: Sequence[Fraction], step: Fraction | None
-) -> Exception:
-    if tnorm.is_min:
+def _miss(search: _Search, what: str) -> Exception:
+    if search.tnorm.is_min:
         return AssertionError(
             "soundness alarm: no %s on the exact grid (%s), "
-            "contradicting the existence guarantee" % (what, _grid_text(grid, step))
+            "contradicting the existence guarantee" % (what, _grid_text(search))
         )
     return ResolutionExhausted(
         "no %s on the search grid (%s); retry with a finer grid_step"
-        % (what, _grid_text(grid, step)),
-        grid_step=step,
-        grid_size=len(grid),
+        % (what, _grid_text(search)),
+        grid_step=search.step,
+        grid_size=len(search.grid),
     )
 
 
@@ -345,16 +332,14 @@ def radon_partition(
     n = len(pts)
     if n != d + 2:
         raise PreconditionError("need %d points in dimension %d, got %d" % (d + 2, d, n))
-    grid, step = _search_grid(pts, tnorm, grid_step)
+    search = _search(pts, tnorm, grid_step)
     for mask in range(1, 1 << (n - 1)):
         part2 = tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
         part1 = tuple(i for i in range(n) if i not in part2)
-        witness = _common_point(
-            [[pts[i] for i in part1], [pts[i] for i in part2]], tnorm, grid
-        )
+        witness = _common_point(search, (part1, part2))
         if witness is not None:
             return RadonPartition(part1=part1, part2=part2, witness=witness)
-    raise _miss(tnorm, "Radon witness", grid, step)
+    raise _miss(search, "Radon witness")
 
 
 def helly_check(
@@ -376,14 +361,18 @@ def helly_check(
     all_points = [p for poly in polys for p in poly.generators]
     _validate(all_points, tnorm)
     d = all_points[0].dim
-    grid, step = _search_grid(all_points, tnorm, grid_step)
+    search = _search(all_points, tnorm, grid_step)
+    ends = itertools.accumulate(len(poly) for poly in polys)
+    members = [range(end - len(poly), end) for poly, end in zip(polys, ends)]
     k = min(d + 1, len(polys))
     for subset in itertools.combinations(range(len(polys)), k):
-        if _common_point([polys[i].generators for i in subset], tnorm, grid) is None:
-            return CounterexampleSubfamily(indices=subset, grid_step=step, grid_size=len(grid))
-    witness = _common_point([poly.generators for poly in polys], tnorm, grid)
+        if _common_point(search, [members[i] for i in subset]) is None:
+            return CounterexampleSubfamily(
+                indices=subset, grid_step=search.step, grid_size=len(search.grid)
+            )
+    witness = _common_point(search, members)
     if witness is None:
-        raise _miss(tnorm, "family-wide witness", grid, step)
+        raise _miss(search, "family-wide witness")
     return CommonWitness(point=witness)
 
 
@@ -403,13 +392,10 @@ def centerpoint(
     d = pts[0].dim
     n = len(pts)
     m0 = (d * n) // (d + 1) + 1
-    groups = [
-        [pts[i] for i in subset] for subset in itertools.combinations(range(n), m0)
-    ]
-    grid, step = _search_grid(pts, tnorm, grid_step)
-    witness = _common_point(groups, tnorm, grid)
+    search = _search(pts, tnorm, grid_step)
+    witness = _common_point(search, list(itertools.combinations(range(n), m0)))
     if witness is None:
-        raise _miss(tnorm, "centerpoint", grid, step)
+        raise _miss(search, "centerpoint")
     return witness
 
 
@@ -474,21 +460,19 @@ def tverberg_search(
     if r == 2:
         rp = radon_partition(pts, tnorm, grid_step)
         return TverbergPartition(parts=(rp.part1, rp.part2), witness=rp.witness)
-    grid, step = _search_grid(pts, tnorm, grid_step)
+    search = _search(pts, tnorm, grid_step)
     for labels in _partitions_into(n, r):
         parts = tuple(
             tuple(i for i in range(n) if labels[i] == b) for b in range(r)
         )
-        witness = _common_point(
-            [[pts[i] for i in part] for part in parts], tnorm, grid
-        )
+        witness = _common_point(search, parts)
         if witness is not None:
             return TverbergPartition(parts=parts, witness=witness)
     if not tnorm.is_min or _is_prime_power(r):
-        raise _miss(tnorm, "Tverberg witness", grid, step)
+        raise _miss(search, "Tverberg witness")
     raise NotFound(
         "no partition into %d parts shares a hull point on the exact grid (%s); "
-        "existence for this r is an open question" % (r, _grid_text(grid, step)),
-        grid_step=step,
-        grid_size=len(grid),
+        "existence for this r is an open question" % (r, _grid_text(search)),
+        grid_step=search.step,
+        grid_size=len(search.grid),
     )

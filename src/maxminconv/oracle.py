@@ -23,12 +23,14 @@ from typing import Sequence
 from . import _kernels
 from .core import (
     MIN,
+    DomainError,
     PreconditionError,
     SemiringBounds,
     TNorm,
     UNIT,
     as_value,
     common_denominator,
+    value_grid,
 )
 from .geometry import Point
 
@@ -48,20 +50,10 @@ class GridSpec:
     step: Fraction | None = None
 
     def axis_values(self) -> tuple[Fraction, ...]:
-        values = {self.bounds.lo, self.bounds.hi}
-        for v in self.base:
-            v = as_value(v)
-            if not self.bounds.contains(v):
-                raise PreconditionError("grid value %s outside bounds" % (v,))
-            values.add(v)
-        if self.step is not None:
-            step = as_value(self.step)
-            k = -(-self.bounds.lo // step)
-            v = k * step
-            while v <= self.bounds.hi:
-                values.add(v)
-                v += step
-        out = tuple(sorted(values))
+        try:
+            out = value_grid([as_value(v) for v in self.base], self.bounds, self.step)
+        except DomainError as exc:
+            raise PreconditionError(str(exc)) from None
         if len(out) > MAX_GRID:
             raise PreconditionError(
                 "oracle guard: grid has %d values, max %d" % (len(out), MAX_GRID)

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from maxminconv import Point, Polytope
-from maxminconv.maxt import _member_exact
+from maxminconv.maxt import _common_point, _member_exact, _search
 
 
 def rational(rng: random.Random, den: int = 8) -> Fraction:
@@ -58,6 +58,18 @@ def planted_join_instance(rng: random.Random, d: int, den: int = 10) -> list[Poi
     pts = base + [joined]
     rng.shuffle(pts)
     return pts
+
+
+def search_common_point(groups, tnorm, grid_step=None):
+    """``maxt._common_point`` on groups of points, and the grid it searched.
+
+    Builds one search over the points of every group, as the witness
+    searches do, and passes each group as the tuple of its indices.
+    """
+    search = _search([q for g in groups for q in g], tnorm, grid_step)
+    ends = itertools.accumulate(len(g) for g in groups)
+    indices = [tuple(range(end - len(g), end)) for g, end in zip(groups, ends)]
+    return _common_point(search, indices), search.grid
 
 
 def common_point_exact(groups, tnorm, grid):

@@ -458,7 +458,7 @@ def test_radon_miss_names_its_grid(capsys, tmp_path):
 def test_internal_error_is_a_document(capsys, intervals_path, monkeypatch):
     from maxminconv import maxt
 
-    monkeypatch.setattr(maxt, "_common_point", lambda groups, tnorm, grid: None)
+    monkeypatch.setattr(maxt, "_common_point", lambda search, groups: None)
     code, out, err = run(capsys, "radon", intervals_path, "--pointset", "line")
     assert code == 1
     doc = json.loads(out)

@@ -10,12 +10,10 @@ from maxminconv.core import (
     LUKASIEWICZ,
     MIN,
     PRODUCT,
-    UNIT,
     PreconditionError,
     ResolutionExhausted,
     common_denominator,
     tnorm_apply,
-    value_grid,
 )
 from maxminconv.geometry import Point, point
 from maxminconv.hull import Polytope, hull_member, polytope
@@ -29,7 +27,13 @@ from maxminconv.maxt import (
     tverberg_search,
 )
 
-from support import common_point_exact, planted_join_instance, random_point, random_polytope
+from support import (
+    common_point_exact,
+    planted_join_instance,
+    random_point,
+    random_polytope,
+    search_common_point,
+)
 
 ALL_TNORMS = (MIN, PRODUCT, LUKASIEWICZ)
 
@@ -373,19 +377,17 @@ def test_floored_fixed_point_reprojects_after_every_change(tnorm, groups, step):
     as fixed; counting it as done at once ends these searches at a grid
     point outside a hull.
     """
-    from maxminconv.maxt import _common_point
-
     groups = [[point(*q) for q in g] for g in groups]
-    grid = value_grid([c for g in groups for q in g for c in q.coords], UNIT, step=step)
-    assert _common_point(groups, tnorm, grid) == common_point_exact(groups, tnorm, grid)
+    found, grid = search_common_point(groups, tnorm, step)
+    assert found == common_point_exact(groups, tnorm, grid)
 
 
 def test_large_denominator_searches_finish_within_budget():
     """Coordinates over 1009 and 1013 put the common denominator past 10^6.
 
-    The search works on integer numerators over that denominator, so
-    such instances take the same projection search as any other: no
-    Fraction scan of the 10^6-point grid.
+    Every norm, min included, searches on integer numerators over that
+    denominator, so such instances take the same projection search as
+    any other: no Fraction scan of the 10^6-point grid.
     """
     a, b = 1009, 1013
 
@@ -402,6 +404,9 @@ def test_large_denominator_searches_finish_within_budget():
     rp = radon_partition(pts, PRODUCT)
     for part in (rp.part1, rp.part2):
         assert hull_member_maxt(rp.witness, Polytope(tuple(pts[i] for i in part)), PRODUCT)
+    rp = radon_partition(pts, MIN)
+    for part in (rp.part1, rp.part2):
+        assert hull_member(rp.witness, Polytope(tuple(pts[i] for i in part))).member
 
     core = pt(505, 506, 507)
     family = [
@@ -413,11 +418,41 @@ def test_large_denominator_searches_finish_within_budget():
     assert time.perf_counter() - start < 5.0
 
 
-def test_min_search_needs_generator_coordinates_on_the_grid():
-    from maxminconv.maxt import _common_point
+def test_every_witness_question_is_encoded_once(rng, monkeypatch):
+    """One search context per question, however many groups it searches."""
+    from maxminconv import maxt
+    from maxminconv.hull import colorful_strong
 
-    grid = (Fraction(0), Fraction(1, 2), Fraction(1))
-    with pytest.raises(PreconditionError, match="3/10 is not on the search grid"):
-        _common_point([[point("0.3", "0.5")]], MIN, grid)
-    with pytest.raises(PreconditionError, match="lacks the upper bound"):
-        _common_point([[point("0.5", "0.5")]], MIN, grid[:2])
+    calls = {"search": 0, "common": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(maxt, "_search", counted("search", maxt._search))
+    monkeypatch.setattr(maxt, "_common_point", counted("common", maxt._common_point))
+
+    def asked(question):
+        calls.update(search=0, common=0)
+        question()
+        return calls["search"], calls["common"]
+
+    # the first two splits miss: {0.5, 0.9} vs {0.2}, then {0.5, 0.2} vs {0.9}
+    searches, common = asked(lambda: radon_partition([point("0.5"), point("0.2"), point("0.9")]))
+    assert searches == 1 and common == 3
+    pts = [point("0.1"), point("0.3"), point("0.5"), point("0.7"), point("0.9")]
+    searches, common = asked(lambda: tverberg_search(pts, 3))
+    assert searches == 1 and common > 1
+
+    family = [polytope([("0", "0"), ("1", "1")]), polytope([("0", "1"), ("1", "0")])]
+    assert asked(lambda: helly_check(family))[0] == 1
+    assert asked(lambda: centerpoint([random_point(rng, 2) for _ in range(5)]))[0] == 1
+
+    q = random_point(rng, 2)
+    c = Polytope((q, random_point(rng, 2)))
+    colors = [Polytope((q, random_point(rng, 2))) for _ in range(3)]
+    # one search, and one _common_point call, per meeting point: d + 1 = 3
+    assert asked(lambda: colorful_strong(c, colors)) == (3, 3)

@@ -16,12 +16,10 @@ from maxminconv.core import (
     SemiringBounds,
     TNorm,
     common_denominator,
-    value_grid,
 )
 from maxminconv.geometry import Point, point, segment_contains, segment_point
 from maxminconv.hull import hull_member, polytope
 from maxminconv.koenig import Matrix, bottleneck_threshold
-from maxminconv.maxt import _common_point
 from maxminconv.oracle import (
     MAX_GENERATORS,
     MAX_GRID,
@@ -32,7 +30,7 @@ from maxminconv.oracle import (
     brute_segment,
 )
 
-from support import common_point_exact, random_point, random_polytope
+from support import common_point_exact, random_point, random_polytope, search_common_point
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +78,12 @@ def test_grid_value_outside_bounds():
     grid = GridSpec(base=(Fraction(3, 2),))
     with pytest.raises(PreconditionError, match="outside bounds"):
         grid.axis_values()
+
+
+def test_grid_rejects_a_step_that_is_not_positive():
+    for step in (Fraction(-1, 4), Fraction(0)):
+        with pytest.raises(ValueError, match="grid step must be positive"):
+            GridSpec(base=(), step=step).axis_values()
 
 
 def test_generator_count_guard():
@@ -260,12 +264,11 @@ def test_scan_kernel_matches_exact_common_point(rng, tnorm, den, step, max_d, ma
     for _ in range(40):
         d = rng.randint(1, max_d)
         groups = _random_groups(rng, d, tnorm.bounds, den, max_points)
-        coords = [c for g in groups for q in g for c in q.coords]
-        grid = value_grid(coords, tnorm.bounds, step=step)
+        found, grid = search_common_point(groups, tnorm, step)
         if len(grid) ** d > 20000:
             continue  # keeps the Fraction reference scan fast
         expected = common_point_exact(groups, tnorm, grid)
-        assert _common_point(groups, tnorm, grid) == expected
+        assert found == expected
         outcomes.add(expected is None)
     assert outcomes == {True, False}
 
@@ -298,14 +301,13 @@ def _grid_searches(draw):
     value = st.integers(0, den).map(lambda k: Fraction(k, den))
     pt = st.tuples(*[value] * d).map(Point)
     groups = draw(st.lists(st.lists(pt, min_size=1, max_size=3), min_size=1, max_size=3))
-    step = Fraction(1, draw(st.integers(4, 20)))
-    coords = [c for g in groups for q in g for c in q.coords]
-    return tnorm, groups, value_grid(coords, UNIT, step=step)
+    return tnorm, groups, Fraction(1, draw(st.integers(4, 20)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_grid_searches())
 def test_projection_search_matches_the_kernel_scan(search):
     """Floored projections find the scan kernel's lex-first point, or miss with it."""
-    tnorm, groups, grid = search
-    assert _common_point(groups, tnorm, grid) == _kernel_scan(groups, tnorm, grid)
+    tnorm, groups, step = search
+    found, grid = search_common_point(groups, tnorm, step)
+    assert found == _kernel_scan(groups, tnorm, grid)
