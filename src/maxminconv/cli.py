@@ -51,6 +51,7 @@ from .hull import (
     caratheodory_reduce,
     colorful_strong,
     colorful_weak,
+    combination,
     hull_member,
 )
 from .instance import Instance, instance_from_dict, parse_raw
@@ -298,7 +299,7 @@ def _cmd_hull_member(inst: Instance, args: argparse.Namespace, ver: Verifier) ->
     c: Polytope = inst.lookup("polytopes", args.polytope)
     if inst.tnorm.is_min:
         res = hull_member(p, c, inst.bounds)
-        cross = hull_member_maxt(p, c, inst.tnorm.with_bounds(inst.bounds))
+        cross = hull_member_maxt(p, c, inst.tnorm)
         ver.check("residuated membership agrees", cross.member == res.member)
         if res.member:
             assert res.witnesses is not None
@@ -322,8 +323,12 @@ def _cmd_hull_member(inst: Instance, args: argparse.Namespace, ver: Verifier) ->
             "separating_index": res.separating_index,
         }
     res2 = hull_member_maxt(p, c, inst.tnorm)
-    recombo = _maxt_member(p, c.generators, inst.tnorm)
-    ver.check("membership reproducible", recombo == res2.member)
+    # re-derive membership from the printed certificate alone
+    certified = (
+        combination(c.generators, res2.coefficients, inst.tnorm) == p
+        and max(res2.coefficients) == inst.tnorm.bounds.hi
+    )
+    ver.check("membership reproducible", certified == res2.member)
     return {
         "member": res2.member,
         "coefficients": _fmt(res2.coefficients),
@@ -340,7 +345,7 @@ def _cmd_caratheodory(inst: Instance, args: argparse.Namespace, ver: Verifier) -
     ver.check("at most d + 1 generators kept", len(indices) <= d + 1)
     ver.check(
         "point still in the reduced hull",
-        hull_member_maxt(p, reduced, TNorm("min", bounds)).member,
+        hull_member_maxt(p, reduced, inst.tnorm).member,
     )
     return {
         "kept_indices": list(indices),
@@ -356,7 +361,7 @@ def _cmd_colorful_weak(inst: Instance, args: argparse.Namespace, ver: Verifier) 
     selected = [colors[i].generators[g] for i, g in sorted(choice.items())]
     ver.check(
         "point in the hull of the selection",
-        _maxt_member(p, selected, TNorm("min", bounds)),
+        _maxt_member(p, selected, inst.tnorm),
     )
     return {
         "choice": _fmt(choice),
@@ -369,12 +374,11 @@ def _cmd_colorful_strong(inst: Instance, args: argparse.Namespace, ver: Verifier
     c: Polytope = inst.lookup("polytopes", args.polytope)
     colors = inst.lookup("colorings", args.coloring)
     res = colorful_strong(c, colors, bounds)
-    tn = TNorm("min", bounds)
     selected = [colors[i].generators[g] for i, g in sorted(res.choice.items())]
-    ver.check("witness in conv(C)", _maxt_member(res.witness, c.generators, tn))
+    ver.check("witness in conv(C)", _maxt_member(res.witness, c.generators, inst.tnorm))
     ver.check(
         "witness in the colorful hull",
-        _maxt_member(res.witness, selected, tn),
+        _maxt_member(res.witness, selected, inst.tnorm),
     )
     # the meeting points come from the residuation search, so they are
     # re-checked with the independent sector-witness test

@@ -125,6 +125,10 @@ class TNorm:
     * min:          T(a, b) = min(a, b)
     * product:      T(a, b) = a * b
     * lukasiewicz:  T(a, b) = max(0, a + b - 1)
+
+    ``apply`` and ``residual`` trust their operands to lie inside the
+    bounds: values are checked once, where they enter (the free functions
+    ``tnorm_apply`` and ``residual`` check both operands first).
     """
 
     tag: str
@@ -143,14 +147,24 @@ class TNorm:
     def is_min(self) -> bool:
         return self.tag == MIN_TAG
 
-    def with_bounds(self, bounds: SemiringBounds) -> "TNorm":
-        return TNorm(self.tag, bounds)
+    def apply(self, a: Fraction, b: Fraction) -> Fraction:
+        """T(a, b) for operands already inside the bounds."""
+        if self.tag == MIN_TAG:
+            return min(a, b)
+        if self.tag == PRODUCT_TAG:
+            return a * b
+        return max(Fraction(0), a + b - 1)
 
-    def apply(self, a: RationalLike, b: RationalLike) -> Fraction:
-        return tnorm_apply(self, a, b)
-
-    def residual(self, a: RationalLike, c: RationalLike) -> Fraction:
-        return residual(self, a, c)
+    def residual(self, a: Fraction, c: Fraction) -> Fraction:
+        """sup { lam : T(lam, a) <= c } for operands already inside the bounds."""
+        if a <= c:
+            return self.bounds.hi
+        if self.tag == MIN_TAG:
+            return c
+        if self.tag == PRODUCT_TAG:
+            return c / a
+        # lukasiewicz: max(0, lam + a - 1) <= c  iff  lam <= 1 - a + c
+        return 1 - a + c
 
 
 MIN = TNorm(MIN_TAG)
@@ -163,15 +177,8 @@ def tnorm_from_tag(tag: str, bounds: SemiringBounds = UNIT) -> TNorm:
 
 
 def tnorm_apply(t: TNorm, a: RationalLike, b: RationalLike) -> Fraction:
-    """Evaluate T(a, b) exactly."""
-    av = t.bounds.check(a)
-    bv = t.bounds.check(b)
-    if t.tag == MIN_TAG:
-        return min(av, bv)
-    if t.tag == PRODUCT_TAG:
-        return av * bv
-    # lukasiewicz
-    return max(Fraction(0), av + bv - 1)
+    """Evaluate T(a, b) exactly; DomainError when an operand is out of bounds."""
+    return t.apply(t.bounds.check(a), t.bounds.check(b))
 
 
 def residual(t: TNorm, a: RationalLike, c: RationalLike) -> Fraction:
@@ -179,18 +186,9 @@ def residual(t: TNorm, a: RationalLike, c: RationalLike) -> Fraction:
 
     This is the largest multiplier that keeps a below c, the workhorse of
     exact hull membership.  Galois connection: T(lam, a) <= c if and only
-    if lam <= residual(a, c).
+    if lam <= residual(a, c).  DomainError when an operand is out of bounds.
     """
-    av = t.bounds.check(a)
-    cv = t.bounds.check(c)
-    if t.tag == MIN_TAG:
-        return t.bounds.hi if av <= cv else cv
-    if t.tag == PRODUCT_TAG:
-        if av <= cv:
-            return Fraction(1)
-        return cv / av
-    # lukasiewicz: max(0, lam + a - 1) <= c  iff  lam <= 1 - a + c
-    return min(Fraction(1), 1 - av + cv)
+    return t.residual(t.bounds.check(a), t.bounds.check(c))
 
 
 def value_grid(

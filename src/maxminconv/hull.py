@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import PreconditionError, SemiringBounds, TNorm, MIN, UNIT
+from .core import PreconditionError, SemiringBounds, TNorm, MIN, UNIT, tnorm_apply
 from .geometry import Point, _check_bounds
 from .koenig import internal_separation
 from .semispaces import SemispaceId, index_set, sector_contains, semispace
@@ -70,7 +70,7 @@ def combination(x: Sequence[Point], lam: Sequence[Fraction], tnorm: TNorm = MIN)
     d = x[0].dim
     out = []
     for j in range(d):
-        out.append(max(tnorm.apply(l, p[j]) for l, p in zip(lam, x)))
+        out.append(max(tnorm_apply(tnorm, l, p[j]) for l, p in zip(lam, x)))
     return Point(tuple(out))
 
 
@@ -107,7 +107,7 @@ def hull_member(p: Point, x: Polytope, bounds: SemiringBounds = UNIT) -> HullMem
         _check_bounds(g, bounds)
     witnesses: dict[int, int] = {}
     for i in index_set(p, bounds):
-        hit = _first_in_sector(semispace(p, i, bounds), x)
+        hit = _first_in_sector(SemispaceId(p, i), x)
         if hit is None:
             return HullMembership(member=False, separating_index=i)
         witnesses[i] = hit
@@ -150,7 +150,7 @@ def colorful_weak(p: Point, colors: Sequence[Polytope], bounds: SemiringBounds =
             raise PreconditionError("p is outside the hull of color %d" % i)
     choice: dict[int, int] = {}
     for i in index_set(p, bounds):
-        hit = _first_in_sector(semispace(p, i, bounds), colors[i])
+        hit = _first_in_sector(SemispaceId(p, i), colors[i])
         # p is in the hull of color i, so its sector i holds a generator
         if hit is None:
             raise AssertionError("sector %d of %s misses color %d; this is a bug" % (i, p, i))

@@ -26,7 +26,7 @@ semispace convention (0 = upper, i >= 1 anchors coordinate i - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -218,10 +218,7 @@ class KoenigDiagram:
 
 def _pi_at_level(a: Matrix, t: Fraction) -> tuple[int, dict[int, int]]:
     """Smallest feasible free row and a level-t permutation of the rest."""
-    base = [
-        [c for c in range(a.ncols) if a.rows[r][c] >= t]
-        for r in range(a.nrows)
-    ]
+    base = _level_adjacency(a, t, strict=False)
     for f in range(a.nrows):
         adj = list(base)
         adj[f] = []
@@ -285,18 +282,7 @@ LIFT = "lift"
 
 
 def _replace(d: KoenigDiagram, **kw) -> KoenigDiagram:
-    fields = dict(
-        matrix=d.matrix,
-        t=d.t,
-        m1_rows=d.m1_rows,
-        m2_rows=d.m2_rows,
-        n1_cols=d.n1_cols,
-        n2_cols=d.n2_cols,
-        pi=d.pi,
-        free_row=d.free_row,
-    )
-    fields.update(kw)
-    out = KoenigDiagram(**fields)
+    out = replace(d, **kw)
     out.validate()
     return out
 
@@ -366,8 +352,6 @@ def improve_diagram(d: KoenigDiagram) -> KoenigDiagram:
         parent: dict[int, int | None] = {root: None}
         outcome = None
         while outcome is None:
-            # columns currently owned by the phase tree
-            cols = [pi[v] for v in visited]
             cand = None
             cand_parent = None
             for row in all_rows:

@@ -40,7 +40,6 @@ from .core import (
     ResolutionExhausted,
     TNorm,
     common_denominator,
-    residual,
     value_grid,
 )
 from .geometry import Point, _check_bounds, _check_same_dim
@@ -115,9 +114,15 @@ class CounterexampleSubfamily:
 
 
 def _principal(p: Point, generators: Sequence[Point], tnorm: TNorm):
-    """Largest coefficient vector keeping the combination below p."""
+    """Largest coefficient vector keeping the combination below p.
+
+    Precondition: every coordinate of p and of the generators lies inside
+    ``tnorm.bounds``.  Each caller has run ``_validate`` on its points, and
+    a search witness is a point of the search grid, so the arithmetic is
+    the unchecked ``TNorm.residual`` and ``TNorm.apply``.
+    """
     lams = tuple(
-        min(residual(tnorm, g[j], p[j]) for j in range(p.dim)) for g in generators
+        min(tnorm.residual(g[j], p[j]) for j in range(p.dim)) for g in generators
     )
     combo = Point(
         tuple(

@@ -30,6 +30,7 @@ from .core import (
     UNIT,
     as_value,
     common_denominator,
+    tnorm_apply,
     value_grid,
 )
 from .geometry import Point
@@ -137,7 +138,7 @@ def brute_hull_member(
             continue
         match = True
         for j in range(d):
-            z = max(tnorm.apply(l, g[j]) for l, g in zip(lam, generators))
+            z = max(tnorm_apply(tnorm, l, g[j]) for l, g in zip(lam, generators))
             if z != p[j]:
                 match = False
                 break

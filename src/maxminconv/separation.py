@@ -108,7 +108,7 @@ def separate_point(p: Point, c: Polytope, bounds: SemiringBounds = UNIT) -> Semi
     if res.member:
         return PointInHull(res)
     assert res.separating_index is not None
-    s = semispace(p, res.separating_index, bounds)
+    s = SemispaceId(p, res.separating_index)
     for g in c:
         if not semispace_contains(s, g):
             raise AssertionError("separating semispace misses a generator; this is a bug")

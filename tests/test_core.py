@@ -135,6 +135,14 @@ def test_apply_rejects_out_of_bounds():
         tnorm_apply(PRODUCT, Fraction(3, 2), Fraction(1, 2))
 
 
+def test_residual_rejects_out_of_bounds():
+    for t in ALL_TNORMS:
+        with pytest.raises(DomainError):
+            residual(t, Fraction(3, 2), Fraction(1, 2))
+        with pytest.raises(DomainError):
+            residual(t, Fraction(1, 2), Fraction(-1, 2))
+
+
 # ---------------------------------------------------------------------------
 # residuation examples
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from maxminconv.core import (
     PRODUCT,
     PreconditionError,
     ResolutionExhausted,
+    SemiringBounds,
     common_denominator,
     tnorm_apply,
 )
@@ -125,6 +126,43 @@ def test_non_min_rejects_out_of_unit_coordinates():
     p = Point((Fraction(3, 2),))
     with pytest.raises(PreconditionError):
         hull_member_maxt(p, Polytope((p,)), PRODUCT)
+
+
+@pytest.mark.parametrize("t", (PRODUCT, LUKASIEWICZ), ids=lambda t: t.tag)
+def test_witness_searches_reject_out_of_unit_coordinates(t):
+    """Each search checks its points at entry, as hull_member_maxt does."""
+    bad = point("3/2")
+    with pytest.raises(PreconditionError, match="outside bounds"):
+        radon_partition([point("0.2"), point("0.5"), bad], t)
+    with pytest.raises(PreconditionError, match="outside bounds"):
+        helly_check([polytope([["0.2"]]), polytope([["0.5"], ["3/2"]])], t)
+    with pytest.raises(PreconditionError, match="outside bounds"):
+        centerpoint([point("0.2"), bad, point("0.5")], t)
+    with pytest.raises(PreconditionError, match="outside bounds"):
+        tverberg_search([point("0.1"), point("0.3"), point("0.5"), point("0.7"), bad], 3, t)
+
+
+def test_witness_searches_check_no_bounds_below_entry(monkeypatch):
+    """Bounds are checked where values enter: no search calls SemiringBounds.check."""
+    calls = []
+    check = SemiringBounds.check
+
+    def counting(self, v):
+        calls.append(v)
+        return check(self, v)
+
+    pts = [point("0.2", "0.7"), point("0.5", "0.1"), point("0.9", "0.6"), point("0.4", "0.4")]
+    family = [
+        polytope([["0.5", "0.5"], ["0.1", "0.9"]]),
+        polytope([["0.5", "0.5"], ["0.8", "0.3"]]),
+        polytope([["0.5", "0.5"], ["0.2", "0.2"]]),
+    ]
+    monkeypatch.setattr(SemiringBounds, "check", counting)
+    for t in ALL_TNORMS:
+        radon_partition(pts, t)
+        centerpoint(pts, t)
+        assert isinstance(helly_check(family, t), CommonWitness)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
