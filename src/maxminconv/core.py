@@ -115,6 +115,11 @@ class SemiringBounds:
 
 UNIT = SemiringBounds(Fraction(0), Fraction(1))
 
+# Most multiples of a grid step that ``value_grid`` adds: a step of
+# 1/10^4 on [0, 1] is the finest accepted.  Every multiple is built as a
+# Fraction, so a finer step would cost time and memory in proportion.
+MAX_STEP_VALUES = 10**4 + 1
+
 
 @dataclass(frozen=True)
 class TNorm:
@@ -202,7 +207,9 @@ def value_grid(
     every multiple of ``step`` inside the bounds.  For the min t-norm the
     coordinate set of the inputs plus the bounds is already exact (max and
     min of grid values stay on the grid); uniform refinement is for the
-    arithmetic t-norms.
+    arithmetic t-norms.  A step with more than ``MAX_STEP_VALUES``
+    multiples inside the bounds is refused with PreconditionError before
+    any of them is built.
     """
     grid = {bounds.lo, bounds.hi}
     for v in values:
@@ -214,6 +221,12 @@ def value_grid(
         if step <= 0:
             raise ValueError("grid step must be positive")
         k = -(-bounds.lo // step)  # ceil division
+        count = bounds.hi // step - k + 1
+        if count > MAX_STEP_VALUES:
+            raise PreconditionError(
+                "grid step %s puts %d values in %s, more than the %d a search accepts"
+                % (step, count, bounds, MAX_STEP_VALUES)
+            )
         v = k * step
         while v <= bounds.hi:
             grid.add(v)

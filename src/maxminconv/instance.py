@@ -140,8 +140,9 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     for key in doc:
         if key not in _SECTIONS:
             raise _fail(key, "unknown section (known: %s)" % (", ".join(_SECTIONS)))
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise _fail("schema", "expected %d, got %r" % (SCHEMA_VERSION, doc.get("schema")))
+    schema = doc.get("schema")
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:
+        raise _fail("schema", "expected %d, got %r" % (SCHEMA_VERSION, schema))
 
     raw_bounds = doc.get("bounds")
     if raw_bounds is None:
@@ -159,7 +160,9 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         raise _fail("tnorm", str(exc)) from None
 
     dimension = doc.get("dimension")
-    if dimension is not None and (not isinstance(dimension, int) or dimension < 1):
+    if dimension is not None and (
+        isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1
+    ):
         raise _fail("dimension", "expected a positive integer, got %r" % (dimension,))
     dim = dimension
 

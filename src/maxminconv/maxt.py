@@ -20,8 +20,19 @@ encoded once: one search context holds its points, its grid and every
 value as an integer numerator over the grid's common denominator, for
 every norm, and the groups it searches are tuples of point indices.
 
+A centerpoint must lie in the hull of every m0-subset of the n points,
+but the subsets are never listed.  The principal coefficient of a
+generator does not depend on the subset it is in, so the least of the
+subsets' projections is one rank-q projection onto all n points, taking
+the q-th largest term with q = n - m0 + 1: a max-min Tukey depth (Tukey,
+"Mathematics and the picturing of data", 1975).  One search with that
+projection gives the same lex-first witness as the search over every
+subset, in time polynomial in n.
+
 Positive results never rely on the search alone: every witness is
-re-verified coordinate by coordinate with exact rational arithmetic.
+re-verified coordinate by coordinate with exact rational arithmetic, a
+centerpoint by counting the attainment sets of its principal
+coefficients instead of testing each subset.
 """
 
 from __future__ import annotations
@@ -188,27 +199,31 @@ def _search(points: Sequence[Point], tnorm: TNorm, grid_step: Fraction | None) -
 
 
 def _project(
-    y: Encoded, gens: Sequence[Encoded], top: int, tag: str, floor: Callable
+    y: Encoded, gens: Sequence[Encoded], top: int, tag: str, floor: Callable, rank: int = 1
 ) -> Encoded:
-    """Greatest point of the semimodule spanned by gens below y, floored.
+    """Rank-r projection of y onto the semimodule spanned by gens, floored.
 
-    The principal solution lam_i = min_j res(v_ij, y_j), then
-    max_i T(lam_i, v_ij), on numerators over the grid's common
-    denominator (top is the numerator of hi).  Under min res(a, b) = top
-    if a <= b else b, and the result is on the grid already.  Under
-    Lukasiewicz and product lam_i stays exact, as an integer under
-    Lukasiewicz and as the ratio (b, a) of two numerators under product,
-    compared by cross-multiplication; only the projected coordinates are
-    floored onto the grid.
+    The principal solution lam_i = min_j res(v_ij, y_j), then the r-th
+    largest of the terms T(lam_i, v_ij) over i, on numerators over the
+    grid's common denominator (top is the numerator of hi).  Rank 1 is
+    max_i T(lam_i, v_ij), the greatest point of the semimodule below y.
+    Rank r is the least of those greatest points over every subset of
+    len(gens) - r + 1 generators: a subset's max misses at most the r - 1
+    largest terms.  Under min res(a, b) = top if a <= b else b, and the
+    result is on the grid already.  Under Lukasiewicz and product lam_i
+    stays exact, as an integer under Lukasiewicz and as the ratio (b, a)
+    of two numerators under product, compared by cross-multiplication;
+    only the projected coordinates are floored onto the grid.
     """
+    pick = max if rank == 1 else (lambda terms: sorted(terms, reverse=True)[rank - 1])
     cols = zip(*gens)
     if tag == MIN_TAG:
         lams = [min(top if a <= b else b for a, b in zip(v, y)) for v in gens]
-        return tuple(max(min(lam, a) for lam, a in zip(lams, col)) for col in cols)
+        return tuple(pick(min(lam, a) for lam, a in zip(lams, col)) for col in cols)
     if tag == LUKASIEWICZ_TAG:
         lams = [min(top if a <= b else top - a + b for a, b in zip(v, y)) for v in gens]
         return tuple(
-            floor(max(0, max(lam + a for lam, a in zip(lams, col)) - top)) for col in cols
+            floor(max(0, pick(lam + a for lam, a in zip(lams, col)) - top)) for col in cols
         )
     ratios = []
     for v in gens:
@@ -218,12 +233,17 @@ def _project(
                 num, den = b, a
         ratios.append((num, den))
     return tuple(
-        floor(max(num * a // den for (num, den), a in zip(ratios, col))) for col in cols
+        floor(pick(num * a // den for (num, den), a in zip(ratios, col))) for col in cols
     )
 
 
 def _greatest_common_point(
-    groups: Sequence[Sequence[Encoded]], y: Encoded, top: int, tag: str, floor: Callable
+    groups: Sequence[Sequence[Encoded]],
+    y: Encoded,
+    top: int,
+    tag: str,
+    floor: Callable,
+    rank: int = 1,
 ) -> Encoded | None:
     """Greatest homogenized grid point below y in every group's semimodule.
 
@@ -233,13 +253,15 @@ def _greatest_common_point(
     the grid; the iterates only decrease on a finite grid, so the loop
     ends, and at the end P(y) = y for every group.  A floored projection
     need not be idempotent, so a change restarts the round count from 0.
+    With rank r each projection is the rank-r one, and the semimodules
+    are those of every subset of len(group) - r + 1 members of a group.
     Returns None as soon as coordinate 0 drops below top: no homogenized
     hull point lies below y then.
     """
     unchanged = 0
     i = 0
     while unchanged < len(groups):
-        z = _project(y, groups[i], top, tag, floor)
+        z = _project(y, groups[i], top, tag, floor, rank)
         if z[0] != top:
             return None
         unchanged = unchanged + 1 if z == y else 0
@@ -248,7 +270,9 @@ def _greatest_common_point(
     return y
 
 
-def _lex_first(search: _Search, groups: Sequence[Sequence[Encoded]]) -> Point | None:
+def _lex_first(
+    search: _Search, groups: Sequence[Sequence[Encoded]], rank: int = 1
+) -> Point | None:
     """Lex-first grid point in every hull, found by floored cyclic projections.
 
     Generator x is encoded as (top, x).  The hulls share a grid point
@@ -259,22 +283,26 @@ def _lex_first(search: _Search, groups: Sequence[Sequence[Encoded]]) -> Point | 
     lex-first witness.  Each run starts from the last greatest point
     with the cap applied: the iterates only decrease, so the cap holds
     throughout and the run ends at the greatest point under the new
-    caps.  That takes O(d log k) runs.
+    caps.  That takes O(d log k) runs.  With rank r the hulls are those
+    of every subset of len(group) - r + 1 members of a group.
     """
     levels, top, tag = search.levels, search.top, search.tnorm.tag
 
     def floor(x: int) -> int:
         return levels[bisect_right(levels, x) - 1]
 
+    def greatest(y: Encoded) -> Encoded | None:
+        return _greatest_common_point(groups, y, top, tag, floor, rank)
+
     d = len(groups[0][0]) - 1
-    y = _greatest_common_point(groups, (top,) * (d + 1), top, tag, floor)
+    y = greatest((top,) * (d + 1))
     if y is None:
         return None
     for j in range(1, d + 1):
         lo, hi = 0, bisect_left(levels, y[j])
         while lo < hi:
             mid = (lo + hi) // 2
-            z = _greatest_common_point(groups, y[:j] + (levels[mid],) + y[j + 1:], top, tag, floor)
+            z = greatest(y[:j] + (levels[mid],) + y[j + 1:])
             if z is None:
                 lo = mid + 1
             else:
@@ -381,6 +409,34 @@ def helly_check(
     return CommonWitness(point=witness)
 
 
+def _attainment_counts(p: Point, points: Sequence[Point], tnorm: TNorm) -> tuple[int, ...]:
+    """``attainment_counts`` on unchecked arithmetic.
+
+    Precondition, as for ``_principal``: p and every point lie inside
+    ``tnorm.bounds`` (the points have passed ``_validate`` and p is a
+    point of the search grid).
+    """
+    hi = tnorm.bounds.hi
+    lams = [min(tnorm.residual(x[j], p[j]) for j in range(p.dim)) for x in points]
+    return (sum(lam == hi for lam in lams),) + tuple(
+        sum(tnorm.apply(lam, x[j]) == p[j] for lam, x in zip(lams, points))
+        for j in range(p.dim)
+    )
+
+
+def attainment_counts(p: Point, points: Sequence[Point], tnorm: TNorm = MIN) -> tuple[int, ...]:
+    """Sizes of the attainment sets A_0, A_1, ..., A_d of p over points.
+
+    With the principal coefficients lam_i of p (see ``hull_member_maxt``),
+    A_0 = {i : lam_i = hi} and A_j = {i : T(lam_i, x_ij) = p_j}.  A subset
+    S of the points holds p in its hull exactly when S meets every A_j, so
+    p lies in the hull of every m-subset exactly when each count is at
+    least len(points) - m + 1.  Exact rational arithmetic throughout.
+    """
+    _validate([p] + list(points), tnorm)
+    return _attainment_counts(p, points, tnorm)
+
+
 def centerpoint(
     points: Sequence[Point],
     tnorm: TNorm = MIN,
@@ -389,18 +445,24 @@ def centerpoint(
     """Point lying in the hull of every subset larger than dn/(d+1).
 
     Equivalently, a common point of the hulls of all subsets of size
-    m0 = floor(dn/(d+1)) + 1, which is how the search is run: one
-    search of the grid against every m0-subset at once.
+    m0 = floor(dn/(d+1)) + 1: a point of max-T Tukey depth at least
+    q = n - m0 + 1.  The principal coefficients of a point do not depend
+    on the subset, so the least projection onto those hulls is one
+    rank-q projection onto all n points, and one search with rank q
+    gives the lex-first grid point in every m0-subset hull.  The witness
+    is re-verified by exact attainment counts: each must be at least q.
     """
     pts = list(points)
     _validate(pts, tnorm)
     d = pts[0].dim
     n = len(pts)
-    m0 = (d * n) // (d + 1) + 1
+    q = n - (d * n) // (d + 1)
     search = _search(pts, tnorm, grid_step)
-    witness = _common_point(search, list(itertools.combinations(range(n), m0)))
+    witness = _lex_first(search, [search.gens], rank=q)
     if witness is None:
         raise _miss(search, "centerpoint")
+    if min(_attainment_counts(witness, pts, tnorm)) < q:
+        raise AssertionError("search witness failed exact re-verification")
     return witness
 
 

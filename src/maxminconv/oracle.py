@@ -5,9 +5,9 @@ enumerating coefficient tuples over a finite grid, segments by
 enumerating two-point combinations, bottlenecks by trying every row
 choice and bijection.  None of it calls the algorithms under test; hull
 membership runs on the pure-Python enumeration kernel
-``_kernels.bf_hull_eval``, which no algorithm under test uses, and
-``brute_hull_member(accel=False)`` keeps the plain Fraction loop it is
-tested against.  Nothing here imports numpy.
+``_kernels.bf_hull_eval``, which no algorithm under test uses, and is
+tested against a plain Fraction loop kept with the tests.  Nothing here
+imports numpy.
 
 Deliberately small: guards refuse instances where enumeration would not
 be exhaustive in reasonable time.
@@ -30,7 +30,6 @@ from .core import (
     UNIT,
     as_value,
     common_denominator,
-    tnorm_apply,
     value_grid,
 )
 from .geometry import Point
@@ -124,27 +123,9 @@ def brute_hull_member(
     generators: Sequence[Point],
     grid: GridSpec,
     tnorm: TNorm = MIN,
-    accel: bool = True,
 ) -> bool:
-    """Single-candidate version; accel=False uses plain Fraction loops."""
-    if accel:
-        return brute_hull_members([p], generators, grid, tnorm)[0]
-    _guards(generators, p)
-    values = grid.axis_values()
-    hi = grid.bounds.hi
-    d = p.dim
-    for lam in itertools.product(values, repeat=len(generators)):
-        if max(lam) != hi:
-            continue
-        match = True
-        for j in range(d):
-            z = max(tnorm_apply(tnorm, l, g[j]) for l, g in zip(lam, generators))
-            if z != p[j]:
-                match = False
-                break
-        if match:
-            return True
-    return False
+    """Single-candidate version of ``brute_hull_members``."""
+    return brute_hull_members([p], generators, grid, tnorm)[0]
 
 
 def brute_segment(x: Point, y: Point, grid: GridSpec) -> frozenset[Point]:

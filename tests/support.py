@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from maxminconv import Point, Polytope
+from maxminconv.core import tnorm_apply
 from maxminconv.maxt import _common_point, _member_exact, _search
 
 
@@ -84,3 +85,23 @@ def common_point_exact(groups, tnorm, grid):
         if all(_member_exact(q, g, tnorm) for g in groups):
             return q
     return None
+
+
+def brute_hull_member_loop(p, generators, grid, tnorm):
+    """Hull membership by a plain Fraction loop over coefficient tuples.
+
+    The reference for ``oracle.brute_hull_members``: every tuple of grid
+    coefficients whose maximum is hi, each combination evaluated with the
+    checked ``tnorm_apply``.
+    """
+    values = grid.axis_values()
+    hi = grid.bounds.hi
+    for lam in itertools.product(values, repeat=len(generators)):
+        if max(lam) != hi:
+            continue
+        if all(
+            max(tnorm_apply(tnorm, l, g[j]) for l, g in zip(lam, generators)) == p[j]
+            for j in range(p.dim)
+        ):
+            return True
+    return False

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,28 @@ def test_centerpoint(capsys, intervals_path):
     code, doc, _ = run_json(capsys, "centerpoint", intervals_path, "--pointset", "line")
     assert code == 0
     assert doc["result"]["centerpoint"] == ["1/2"]
+
+
+@pytest.mark.parametrize("tnorm", ["min", "product"])
+def test_centerpoint_rechecks_every_subset_hull(capsys, intervals_path, monkeypatch, tnorm):
+    """The depth re-check refuses a point outside one 3-subset hull.
+
+    Of the five points 0.1, ..., 0.9 every 3-subset hull but that of
+    {0.3, 0.5, 0.7} holds 0.1; min counts sectors, product attainment sets.
+    """
+    from maxminconv.geometry import point
+
+    name = "inside the hull of every 3-subset (all 10 of them)"
+    argv = ("centerpoint", intervals_path, "--pointset", "five", "--tnorm", tnorm)
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["verification"]["checks"] == [{"name": name, "passed": True}]
+
+    monkeypatch.setattr(cli, "centerpoint", lambda pts, t, step: point("0.1"))
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["status"] == "verification-failed"
+    assert doc["verification"]["checks"] == [{"name": name, "passed": False}]
 
 
 def test_tverberg(capsys, intervals_path):
@@ -673,6 +696,21 @@ def test_zero_denominator_is_an_input_error(capsys, instance_path, tmp_path):
     )
     assert code == 1
     assert err == "error: bounds[1]: zero denominator in '1/0'\n"
+
+
+def test_over_fine_grid_step_is_refused_before_it_is_built(capsys, intervals_path):
+    argv = ("radon", intervals_path, "--pointset", "line", "--tnorm", "product")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--grid-step", "1/100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == (
+        "error: grid step 1/100000000 puts 100000001 values in [0, 1], "
+        "more than the 10001 a search accepts\n"
+    )
+    code, doc, _ = run_json(capsys, *argv, "--grid-step", "1/10000")
+    assert code == 0
+    assert doc["result"]["witness"] == ["1/2"]
 
 
 def test_missing_file(capsys, tmp_path):

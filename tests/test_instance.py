@@ -95,6 +95,9 @@ def test_schema_version_required():
         loads_instance('{"points": {}}')
     with pytest.raises(DomainError, match="schema: expected 1, got 2"):
         loads_instance('{"schema": 2}')
+    # JSON true is a Python bool, and bool subclasses int: True == 1
+    with pytest.raises(DomainError, match="schema: expected 1, got True"):
+        loads_instance('{"schema": true}')
 
 
 def test_bad_numeral_reports_path():
@@ -139,6 +142,8 @@ def test_dimension_must_be_positive_integer():
         loads_instance('{"schema": 1, "dimension": 0}')
     with pytest.raises(DomainError, match="dimension"):
         loads_instance('{"schema": 1, "dimension": "two"}')
+    with pytest.raises(DomainError, match="dimension: expected a positive integer, got True"):
+        loads_instance('{"schema": 1, "dimension": true, "points": {"p": ["0.5"]}}')
 
 
 def test_grid_step_positive():

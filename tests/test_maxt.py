@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxminconv.core import (
     LUKASIEWICZ,
@@ -21,6 +22,8 @@ from maxminconv.hull import Polytope, hull_member, polytope
 from maxminconv.maxt import (
     CommonWitness,
     CounterexampleSubfamily,
+    _member_exact,
+    attainment_counts,
     centerpoint,
     helly_check,
     hull_member_maxt,
@@ -308,6 +311,89 @@ def test_centerpoint_subset_guarantee(rng):
         for subset in itertools.combinations(range(n), m0):
             sub = Polytope(tuple(pts[i] for i in subset))
             assert hull_member(cp, sub).member
+
+
+def _rational_points(d, max_n):
+    den = st.sampled_from([4, 7, 8])
+    return den.flatmap(
+        lambda q: st.lists(
+            st.tuples(*[st.integers(0, q).map(lambda k: Fraction(k, q))] * d).map(Point),
+            min_size=1,
+            max_size=max_n,
+        )
+    )
+
+
+@st.composite
+def _point_sets(draw, max_n):
+    tnorm = draw(st.sampled_from(ALL_TNORMS))
+    return tnorm, draw(_rational_points(draw(st.integers(1, 3)), max_n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_sets(max_n=8))
+def test_depth_search_matches_the_subset_search(instance):
+    """One rank-q search finds what the search over every m0-subset finds."""
+    tnorm, pts = instance
+    d, n = pts[0].dim, len(pts)
+    m0 = (d * n) // (d + 1) + 1
+    subsets = [[pts[i] for i in sub] for sub in itertools.combinations(range(n), m0)]
+    expected, _ = search_common_point(subsets, tnorm)
+    if expected is None:
+        assert not tnorm.is_min
+        with pytest.raises(ResolutionExhausted):
+            centerpoint(pts, tnorm)
+    else:
+        assert centerpoint(pts, tnorm) == expected
+
+
+@st.composite
+def _depth_questions(draw):
+    """A point set and a point: a combination of the set, or any grid point."""
+    tnorm, pts = draw(_point_sets(max_n=6))
+    d = pts[0].dim
+    lam = draw(st.lists(st.sampled_from([c for q in pts for c in q.coords]),
+                        min_size=len(pts), max_size=len(pts)))
+    lam[draw(st.integers(0, len(pts) - 1))] = Fraction(1)
+    combo = Point(tuple(
+        max(tnorm.apply(l, q[j]) for l, q in zip(lam, pts)) for j in range(d)
+    ))
+    other = draw(_rational_points(d, 1))[0]
+    return tnorm, pts, draw(st.sampled_from([combo, other]))
+
+
+def test_attainment_counts_match_subset_enumeration():
+    """min(counts) >= n - m + 1 exactly when p is in every m-subset hull, for every m."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_depth_questions())
+    def check(question):
+        tnorm, pts, p = question
+        n = len(pts)
+        counts = attainment_counts(p, pts, tnorm)
+        assert len(counts) == p.dim + 1
+        for m in range(1, n + 1):
+            inside = all(
+                _member_exact(p, [pts[i] for i in sub], tnorm)
+                for sub in itertools.combinations(range(n), m)
+            )
+            assert inside == (min(counts) >= n - m + 1)
+            seen.add(inside)
+
+    check()
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.tag)
+def test_centerpoint_is_polynomial_in_n(rng, tnorm):
+    """C(40, 31) and C(60, 51) subsets; one rank-q search answers in well under 1 s."""
+    for d, n in ((3, 40), (5, 60)):
+        pts = [random_point(rng, d) for _ in range(n)]
+        start = time.perf_counter()
+        cp = centerpoint(pts, tnorm)
+        assert time.perf_counter() - start < 1.0
+        assert min(attainment_counts(cp, pts, tnorm)) >= n - (d * n) // (d + 1)
 
 
 # ---------------------------------------------------------------------------

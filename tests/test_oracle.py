@@ -30,7 +30,13 @@ from maxminconv.oracle import (
     brute_segment,
 )
 
-from support import common_point_exact, random_point, random_polytope, search_common_point
+from support import (
+    brute_hull_member_loop,
+    common_point_exact,
+    random_point,
+    random_polytope,
+    search_common_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +166,8 @@ def _hull_instances(draw):
 
 
 def test_brute_accel_flag_equivalence():
-    """The integer kernel and the plain Fraction loop agree, on hits and misses.
+    """The integer kernel and the plain Fraction loop of tests/support.py
+    agree, on hits and misses.
 
     Several candidates share one enumeration, so the kernel's ceiling is
     the join of all of them, not of the candidate it decides.
@@ -172,7 +179,7 @@ def test_brute_accel_flag_equivalence():
     def check(instance):
         tnorm, gens, grid, candidates, pos = instance
         fast = brute_hull_members(candidates, gens, grid, tnorm=tnorm)
-        slow = [brute_hull_member(q, gens, grid, tnorm=tnorm, accel=False) for q in candidates]
+        slow = [brute_hull_member_loop(q, gens, grid, tnorm) for q in candidates]
         assert fast == slow
         assert fast[pos]
         seen.update(fast)
