@@ -583,7 +583,7 @@ def _cmd_helly(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
         "CounterexampleSubfamily",
         "the intersection hypothesis fails: members %s share no grid point"
         % (list(out.indices),),
-        {"indices": list(out.indices), "exact": inst.tnorm.is_min,
+        {"indices": list(out.indices), "exact": out.grid_step is None,
          "grid_step": _fmt(out.grid_step), "grid_size": out.grid_size},
     )
 

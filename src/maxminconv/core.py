@@ -34,10 +34,10 @@ class ResolutionExhausted(RuntimeError):
     """A witness search ran out of grid resolution without an answer.
 
     Raised only for t-norms where grid search is a heuristic (product,
-    Lukasiewicz).  For the min t-norm the search grids are exact, so this
-    error doubles as a soundness alarm there.  ``grid_step`` and
-    ``grid_size``, the number of values per coordinate, name the grid
-    that was exhausted.
+    Lukasiewicz).  For the min t-norm the search grids are exact, and a
+    miss where a theorem guarantees a witness raises AssertionError, the
+    soundness alarm, instead.  ``grid_step`` and ``grid_size``, the
+    number of values per coordinate, name the grid that was exhausted.
     """
 
     def __init__(

@@ -178,6 +178,9 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         if not coords:
             raise _fail(path, "empty point")
         dim = _check_dim(dim, len(coords), path)
+        for c in coords:
+            if not bounds.contains(c):
+                raise _fail(path, "value %s outside bounds %s" % (c, bounds))
         return Point(coords)
 
     def parse_point_list(raw: Any, path: str) -> tuple[Point, ...]:
@@ -208,11 +211,10 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         path = "boxes.%s" % name
         if not isinstance(raw, Mapping) or set(raw) != {"lower", "upper"}:
             raise _fail(path, 'expected {"lower": [...], "upper": [...]}')
+        lower = parse_point(raw["lower"], path + ".lower")
+        upper = parse_point(raw["upper"], path + ".upper")
         try:
-            boxes[name] = Box(
-                parse_point(raw["lower"], path + ".lower"),
-                parse_point(raw["upper"], path + ".upper"),
-            )
+            boxes[name] = Box(lower, upper)
         except ValueError as exc:
             raise _fail(path, str(exc)) from None
 
@@ -270,25 +272,6 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
                 raise _fail("%s[%d]" % (path, i), "empty color class")
             classes.append(Polytope(rows))
         colorings[name] = tuple(classes)
-
-    # every coordinate must live inside the carrier
-    def check_coords(coords: Sequence[Fraction], path: str) -> None:
-        for c in coords:
-            if not bounds.contains(c):
-                raise _fail(path, "value %s outside bounds %s" % (c, bounds))
-
-    for name, p in points.items():
-        check_coords(p.coords, "points.%s" % name)
-    for name, ps in pointsets.items():
-        for i, p in enumerate(ps):
-            check_coords(p.coords, "pointsets.%s[%d]" % (name, i))
-    for name, poly in polytopes.items():
-        check_coords(poly.coordinates(), "polytopes.%s" % name)
-    for name, box in boxes.items():
-        check_coords(box.coordinates(), "boxes.%s" % name)
-    for name, classes in colorings.items():
-        for i, cls in enumerate(classes):
-            check_coords(cls.coordinates(), "colorings.%s[%d]" % (name, i))
 
     return Instance(
         tnorm=tnorm,

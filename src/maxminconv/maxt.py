@@ -11,14 +11,17 @@ of Butkovic, "Max-linear Systems" (2010), and a binary search on
 coordinate caps turns it into the lex-first grid point.  With the min
 t-norm the grid built from the input coordinates is exact: rounding any
 witness down to the grid keeps it in every hull at once, so a grid miss
-is a genuine miss, and the projections never leave the grid.  The
-product and Lukasiewicz norms generate values off that grid; their
-searches floor each projection onto a grid refined by a uniform
-rational step (default 1/100) and report a miss as ResolutionExhausted,
-naming that grid, instead of claiming emptiness.  Each question is
-encoded once: one search context holds its points, its grid and every
-value as an integer numerator over the grid's common denominator, for
-every norm, and the groups it searches are tuples of point indices.
+is a genuine miss, and the projections never leave the grid.  So a min
+search ignores any grid step: a refined grid holds the exact one, and
+its lex-first common point rounds down to an exact-grid common point
+that is no lex-greater, hence is that point itself.  The product and
+Lukasiewicz norms generate values off that grid; their searches floor
+each projection onto a grid refined by a uniform rational step (default
+1/100) and report a miss as ResolutionExhausted, naming that grid,
+instead of claiming emptiness.  Each question is encoded once: one
+search context holds its points and every value, the grid's included,
+as an integer numerator over the grid's common denominator, for every
+norm, and the groups it searches are tuples of point indices.
 
 A centerpoint must lie in the hull of every m0-subset of the n points,
 but the subsets are never listed.  The principal coefficient of a
@@ -170,32 +173,35 @@ def hull_member_maxt(p: Point, x: Polytope, tnorm: TNorm = MIN) -> MaxTMembershi
 class _Search:
     """One witness question over ``points``, encoded once.
 
-    ``grid`` holds the point coordinates and both bounds, refined by
+    The grid holds the point coordinates and both bounds, refined by
     ``step`` (None for the exact min grid).  Every value is kept as its
-    numerator over the common denominator of the grid: ``levels`` for
-    the grid, ``top`` for hi, and ``gens[i]`` for points[i] homogenized
-    to (top, x).  Groups of generators are tuples of point indices.
+    numerator over ``denom``, the common denominator of the grid:
+    ``levels`` for the grid, ``top`` for hi, and ``gens[i]`` for
+    points[i] homogenized to (top, x).  Groups of generators are tuples
+    of point indices.
     """
 
     points: tuple[Point, ...]
     tnorm: TNorm
     step: Fraction | None
-    grid: tuple[Fraction, ...]
     levels: tuple[int, ...]
+    denom: int
     top: int
     gens: tuple[Encoded, ...]
 
 
 def _search(points: Sequence[Point], tnorm: TNorm, grid_step: Fraction | None) -> _Search:
-    if grid_step is None and not tnorm.is_min:
-        grid_step = DEFAULT_STEP
-    grid = value_grid([c for p in points for c in p.coords], tnorm.bounds, step=grid_step)
+    """The search context of one question; a min search never refines its grid."""
+    step = None if tnorm.is_min else (DEFAULT_STEP if grid_step is None else grid_step)
+    grid = value_grid([c for p in points for c in p.coords], tnorm.bounds, step=step)
     denom = common_denominator(grid)
-    levels = tuple(v.numerator * (denom // v.denominator) for v in grid)
-    level = dict(zip(grid, levels))
-    top = level[tnorm.bounds.hi]
-    gens = tuple((top, *(level[c] for c in p.coords)) for p in points)
-    return _Search(tuple(points), tnorm, grid_step, grid, levels, top, gens)
+
+    def level(v: Fraction) -> int:
+        return v.numerator * (denom // v.denominator)
+
+    top = level(tnorm.bounds.hi)
+    gens = tuple((top, *map(level, p.coords)) for p in points)
+    return _Search(tuple(points), tnorm, step, tuple(map(level, grid)), denom, top, gens)
 
 
 def _project(
@@ -307,7 +313,7 @@ def _lex_first(
                 lo = mid + 1
             else:
                 hi, y = bisect_left(levels, z[j]), z
-    return Point(tuple(search.grid[bisect_left(levels, e)] for e in y[1:]))
+    return Point(tuple(Fraction(e, search.denom) for e in y[1:]))
 
 
 def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> Point | None:
@@ -328,7 +334,7 @@ def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> Point | N
 
 
 def _grid_text(search: _Search) -> str:
-    text = "%d values per coordinate" % len(search.grid)
+    text = "%d values per coordinate" % len(search.levels)
     return text if search.step is None else text + ", step %s" % search.step
 
 
@@ -342,7 +348,7 @@ def _miss(search: _Search, what: str) -> Exception:
         "no %s on the search grid (%s); retry with a finer grid_step"
         % (what, _grid_text(search)),
         grid_step=search.step,
-        grid_size=len(search.grid),
+        grid_size=len(search.levels),
     )
 
 
@@ -401,7 +407,7 @@ def helly_check(
     for subset in itertools.combinations(range(len(polys)), k):
         if _common_point(search, [members[i] for i in subset]) is None:
             return CounterexampleSubfamily(
-                indices=subset, grid_step=search.step, grid_size=len(search.grid)
+                indices=subset, grid_step=search.step, grid_size=len(search.levels)
             )
     witness = _common_point(search, members)
     if witness is None:
@@ -541,5 +547,5 @@ def tverberg_search(
         "no partition into %d parts shares a hull point on the exact grid (%s); "
         "existence for this r is an open question" % (r, _grid_text(search)),
         grid_step=search.step,
-        grid_size=len(search.grid),
+        grid_size=len(search.levels),
     )

@@ -65,12 +65,14 @@ def search_common_point(groups, tnorm, grid_step=None):
     """``maxt._common_point`` on groups of points, and the grid it searched.
 
     Builds one search over the points of every group, as the witness
-    searches do, and passes each group as the tuple of its indices.
+    searches do, and passes each group as the tuple of its indices.  The
+    grid is read back from the search's levels over its denominator.
     """
     search = _search([q for g in groups for q in g], tnorm, grid_step)
     ends = itertools.accumulate(len(g) for g in groups)
     indices = [tuple(range(end - len(g), end)) for g, end in zip(groups, ends)]
-    return _common_point(search, indices), search.grid
+    grid = tuple(Fraction(level, search.denom) for level in search.levels)
+    return _common_point(search, indices), grid
 
 
 def common_point_exact(groups, tnorm, grid):

@@ -432,6 +432,31 @@ def test_helly_counterexample_names_its_grid(capsys, instance_path):
     assert doc["outcome"]["grid_size"] > 5
 
 
+def test_min_helly_ignores_the_grid_step(capsys, instance_path):
+    plain = run(capsys, "helly", instance_path, "--family", "apart")
+    stepped = run(capsys, "helly", instance_path, "--family", "apart", "--grid-step", "1/4")
+    assert stepped == plain
+    outcome = json.loads(stepped[1])["outcome"]
+    assert outcome["type"] == "CounterexampleSubfamily"
+    assert outcome["exact"] is True
+    assert outcome["grid_step"] is None
+    assert outcome["grid_size"] == 6
+
+
+def test_min_radon_ignores_an_over_fine_grid_step(capsys, tmp_path):
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({
+        "schema": 1,
+        "pointsets": {"four": [["0.7", "0.2"], ["0.2", "0.7"], ["0.5", "0.5"], ["0.9", "0.9"]]},
+    }))
+    argv = ("radon", str(path))
+    start = time.perf_counter()
+    stepped = run(capsys, *argv, "--grid-step", "1/100000000")
+    assert time.perf_counter() - start < 1.0
+    assert stepped[0] == 0
+    assert stepped == run(capsys, *argv)
+
+
 def test_radon_resolution_exhausted(capsys, tmp_path):
     doc_in = {
         "schema": 1,
@@ -622,6 +647,104 @@ def test_fuzzed_numerals_never_raise(capsys, tmp_path, numeral, slot):
     elif code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not err.startswith("error: internal error")
+
+
+FUZZ_BASE = {
+    "schema": 1,
+    "dimension": 2,
+    "points": {"p": ["1/2", "1/2"], "q": ["1/5", "3/5"], "far": ["9/10", "1/10"]},
+    "pointsets": {
+        "three": [["9/10", "7/10"], ["3/5", "1/2"], ["3/10", "1/10"]],
+        "four": [["7/10", "1/5"], ["1/5", "7/10"], ["1/2", "1/2"], ["9/10", "9/10"]],
+    },
+    "polytopes": {"X": [["1/5", "4/5"], ["4/5", "1/5"]], "L": [["1/10", "1/10"], ["3/10", "1/5"]]},
+    "boxes": {"B": {"lower": ["0", "0"], "upper": ["3/10", "3/10"]}},
+    "matrices": {"A": [["9/10", "1/10"], ["4/5", "3/10"], ["1/2", "2/5"]]},
+    "hyperplanes": {"H": {"a": ["3/5", "0", "1/5"], "b": ["0", "3/5", "1/5"]}},
+    "families": {"F": ["X", "L"]},
+    "colorings": {"K": [[["1/5", "4/5"]], [["4/5", "1/5"]], [["1/2", "1/2"]]]},
+}
+
+FUZZ_COMMANDS = [
+    ["segment", "--x", "p", "--y", "q"],
+    ["distance", "--x", "p", "--y", "q"],
+    ["semispaces", "--point", "p"],
+    ["hull-member", "--point", "p", "--polytope", "X"],
+    ["caratheodory", "--point", "p", "--polytope", "X"],
+    ["colorful-weak", "--point", "p", "--coloring", "K"],
+    ["colorful-strong", "--polytope", "X", "--coloring", "K"],
+    ["separate-point", "--point", "far", "--polytope", "L"],
+    ["separate-box", "--box", "B", "--polytope", "X"],
+    ["sep-condition", "--box", "B", "--polytope", "X"],
+    ["separate-hyperplane", "--point", "p", "--polytope", "L"],
+    ["intsep", "--pointset", "three"],
+    ["tight-diagram", "--matrix", "A"],
+    ["radon", "--pointset", "four"],
+    ["helly", "--family", "F"],
+    ["centerpoint", "--pointset", "four"],
+    ["tverberg", "--pointset", "four", "--r", "2"],
+    ["render", "--figure", "overview"],
+]
+
+# wrong JSON types, empty values, nested lists, objects and unknown names
+FUZZ_JUNK = [None, True, False, 0, 7, "1/2", "Z", "", [], {}, [[]], [["1/2"]],
+             [[["1/2"]]], {"Z": "1/2"}, ["1/2", ["1/2"]]]
+
+
+def _nodes(node):
+    """Every (container, key) pair below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value)
+
+
+def _fault(doc, data):
+    """One structural fault at a random node of doc, in place."""
+    parent, key = data.draw(st.sampled_from(list(_nodes(doc))))
+    kind = data.draw(st.sampled_from(["replace", "delete", "extra", "shorten", "empty", "rename"]))
+    value = parent[key]
+    junk = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_JUNK))))
+    if kind == "replace":
+        parent[key] = junk
+    elif kind == "delete":
+        del parent[key]
+    elif kind == "extra" and isinstance(parent, dict):
+        parent["Z"] = junk
+    elif kind == "extra":
+        parent.append(junk)
+    elif kind == "shorten" and isinstance(value, list) and value:
+        value.pop()  # a ragged row, a short point list or an empty section
+    elif kind == "empty":
+        parent[key] = type(value)() if isinstance(value, (dict, list)) else ""
+    elif kind == "rename" and isinstance(parent, dict):
+        parent["Z"] = parent.pop(key)
+    elif kind == "rename":
+        parent[key] = "Z"
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data(), faults=st.integers(1, 3))
+def test_malformed_documents_get_an_answer_or_an_error(capsys, tmp_path, data, faults):
+    doc_in = json.loads(json.dumps(FUZZ_BASE))
+    for _ in range(faults):
+        _fault(doc_in, data)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc_in))
+    svg = str(tmp_path / "fuzz.svg")
+    for command in FUZZ_COMMANDS:
+        argv = [command[0], str(path), *command[1:]]
+        code, out, err = run(capsys, *argv, *(["--svg", svg] if command[0] == "render" else []))
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err and "internal" not in err, (argv, err)
+        if out:
+            doc = json.loads(out)
+            assert doc["status"] != "internal-error", (argv, doc)
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_1(capsys, instance_path):

@@ -213,6 +213,50 @@ def test_coordinate_outside_bounds():
         loads_instance('{"schema": 1, "points": {"p": ["1.5"]}}')
 
 
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        ({"points": {"p": ["0.1", "1.5"]}}, "points.p: value 3/2 outside bounds [0, 1]"),
+        ({"pointsets": {"S": [["0.1"], ["0.2"], ["3/2"]]}},
+         "pointsets.S[2]: value 3/2 outside bounds [0, 1]"),
+        ({"polytopes": {"C": [["0.1"], ["1.5"]]}},
+         "polytopes.C[1]: value 3/2 outside bounds [0, 1]"),
+        ({"boxes": {"B": {"lower": ["0.1"], "upper": ["2"]}}},
+         "boxes.B.upper: value 2 outside bounds [0, 1]"),
+        ({"colorings": {"K": [[["0.1"]], [["0.2"], ["-1"]]]}},
+         "colorings.K[1][1]: value -1 outside bounds [0, 1]"),
+        ({"bounds": ["-1", "2"], "points": {"p": ["5/2"]}},
+         "points.p: value 5/2 outside bounds [-1, 2]"),
+    ],
+    ids=["points", "pointsets", "polytopes", "boxes", "colorings", "wide-bounds"],
+)
+def test_bounds_error_names_the_point(sections, message):
+    with pytest.raises(DomainError) as exc:
+        instance_from_dict({"schema": 1, **sections})
+    assert str(exc.value) == message
+
+
+def test_box_errors_get_one_prefix():
+    with pytest.raises(DomainError) as exc:
+        instance_from_dict({"schema": 1, "boxes": {"B": {"lower": "x", "upper": ["0.2"]}}})
+    assert str(exc.value) == "boxes.B.lower: expected a list of numerals"
+    with pytest.raises(DomainError) as exc:
+        instance_from_dict({"schema": 1, "boxes": {"B": {"lower": ["0.7"], "upper": ["0.2"]}}})
+    assert str(exc.value) == "boxes.B: box needs lower <= upper componentwise"
+
+
+def test_bounds_error_is_reported_in_document_order():
+    doc = {
+        "schema": 1,
+        "points": {"p": ["1.5"]},
+        "polytopes": {"X": [["0.1"]]},
+        "families": {"F": ["Z"]},
+    }
+    with pytest.raises(DomainError) as exc:
+        instance_from_dict(doc)
+    assert str(exc.value) == "points.p: value 3/2 outside bounds [0, 1]"
+
+
 def test_section_entries_must_be_named():
     with pytest.raises(DomainError, match="expected an object"):
         loads_instance('{"schema": 1, "points": [["0.1"]]}')

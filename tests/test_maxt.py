@@ -313,12 +313,12 @@ def test_centerpoint_subset_guarantee(rng):
             assert hull_member(cp, sub).member
 
 
-def _rational_points(d, max_n):
+def _rational_points(d, max_n, min_n=1):
     den = st.sampled_from([4, 7, 8])
     return den.flatmap(
         lambda q: st.lists(
             st.tuples(*[st.integers(0, q).map(lambda k: Fraction(k, q))] * d).map(Point),
-            min_size=1,
+            min_size=min_n,
             max_size=max_n,
         )
     )
@@ -345,6 +345,27 @@ def test_depth_search_matches_the_subset_search(instance):
             centerpoint(pts, tnorm)
     else:
         assert centerpoint(pts, tnorm) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), k=st.integers(2, 10**8))
+def test_min_searches_ignore_the_grid_step(data, d, k):
+    """The min grid is exact, so a step of 1/k changes no min answer."""
+    step = Fraction(1, k)
+
+    def points(n):
+        return data.draw(_rational_points(d, n, min_n=n))
+
+    pts = points(d + 2)
+    assert radon_partition(pts, MIN, step) == radon_partition(pts, MIN)
+    family = [Polytope(tuple(points(data.draw(st.integers(1, 3)))))
+              for _ in range(data.draw(st.integers(2, 4)))]
+    assert helly_check(family, MIN, step) == helly_check(family, MIN)
+    pts = points(data.draw(st.integers(1, 8)))
+    assert centerpoint(pts, MIN, step) == centerpoint(pts, MIN)
+    if d <= 2:
+        pts = points(2 * (d + 1) + 1)
+        assert tverberg_search(pts, 3, MIN, step) == tverberg_search(pts, 3, MIN)
 
 
 @st.composite
