@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -115,9 +116,10 @@ class SemiringBounds:
 
 UNIT = SemiringBounds(Fraction(0), Fraction(1))
 
-# Most multiples of a grid step that ``value_grid`` adds: a step of
-# 1/10^4 on [0, 1] is the finest accepted.  Every multiple is built as a
-# Fraction, so a finer step would cost time and memory in proportion.
+# Most multiples of a grid step that ``grid_levels`` adds: a step of
+# 1/10^4 on [0, 1] is the finest accepted.  Every multiple becomes an
+# integer level of the search grid, so a finer step would still cost
+# time and memory in proportion.
 MAX_STEP_VALUES = 10**4 + 1
 
 
@@ -196,26 +198,31 @@ def residual(t: TNorm, a: RationalLike, c: RationalLike) -> Fraction:
     return t.residual(t.bounds.check(a), t.bounds.check(c))
 
 
-def value_grid(
+def grid_levels(
     values: Iterable[Fraction],
     bounds: SemiringBounds,
     step: Fraction | None = None,
-) -> tuple[Fraction, ...]:
-    """Sorted tuple of candidate coordinate values for witness searches.
+) -> tuple[tuple[int, ...], int]:
+    """The search grid as sorted integer levels over one denominator.
 
-    Always contains the bounds and every supplied value; with ``step`` also
-    every multiple of ``step`` inside the bounds.  For the min t-norm the
-    coordinate set of the inputs plus the bounds is already exact (max and
-    min of grid values stay on the grid); uniform refinement is for the
-    arithmetic t-norms.  A step with more than ``MAX_STEP_VALUES``
-    multiples inside the bounds is refused with PreconditionError before
-    any of them is built.
+    The grid holds both bounds and every supplied value; with ``step``
+    also every multiple of ``step`` inside the bounds.  Returns
+    ``(levels, denom)``: grid value v is ``Fraction(level, denom)``, and
+    ``denom`` is the least common denominator of the grid.  With step
+    p/q in lowest terms, the multiple i*p/q has denominator
+    q / gcd(q, i); as k and k + 1 are coprime, the first two multiples
+    inside the bounds already have lcm q, which every multiple's
+    denominator divides.  So those two fix ``denom``, and the rest
+    follow as an integer range.  DomainError for a value outside the
+    bounds, ValueError for a non-positive step, and PreconditionError
+    for a step with more than ``MAX_STEP_VALUES`` multiples inside the
+    bounds, raised before any multiple is built.
     """
-    grid = {bounds.lo, bounds.hi}
-    for v in values:
+    values = [bounds.lo, bounds.hi, *values]
+    for v in values[2:]:
         if not bounds.contains(v):
             raise DomainError("grid value %s outside bounds %s" % (v, bounds))
-        grid.add(v)
+    count = 0
     if step is not None:
         step = as_value(step)
         if step <= 0:
@@ -227,21 +234,36 @@ def value_grid(
                 "grid step %s puts %d values in %s, more than the %d a search accepts"
                 % (step, count, bounds, MAX_STEP_VALUES)
             )
-        v = k * step
-        while v <= bounds.hi:
-            grid.add(v)
-            v += step
-    return tuple(sorted(grid))
+        values += [i * step for i in range(k, k + min(count, 2))]
+    denom = common_denominator(values)
+    levels = {v.numerator * (denom // v.denominator) for v in values}
+    if count > 2:
+        s = step.numerator * (denom // step.denominator)
+        levels.update(range((k + 2) * s, (k + count) * s, s))
+    return tuple(sorted(levels)), denom
+
+
+def value_grid(
+    values: Iterable[Fraction],
+    bounds: SemiringBounds,
+    step: Fraction | None = None,
+) -> tuple[Fraction, ...]:
+    """Sorted tuple of candidate coordinate values for witness searches.
+
+    The Fraction view of ``grid_levels``, with the same values and the
+    same refusals: always the bounds and every supplied value; with
+    ``step`` also every multiple of ``step`` inside the bounds.  For the
+    min t-norm the coordinate set of the inputs plus the bounds is
+    already exact (max and min of grid values stay on the grid); uniform
+    refinement is for the arithmetic t-norms.
+    """
+    levels, denom = grid_levels(values, bounds, step)
+    return tuple(Fraction(level, denom) for level in levels)
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
     """Least common multiple of the denominators of ``values``."""
-    from math import lcm
-
-    result = 1
-    for v in values:
-        result = lcm(result, v.denominator)
-    return result
+    return lcm(*(v.denominator for v in values))
 
 
 def format_value(v: Fraction) -> str:

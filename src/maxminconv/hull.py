@@ -53,9 +53,6 @@ class Polytope:
     def __iter__(self):
         return iter(self.generators)
 
-    def coordinates(self) -> tuple[Fraction, ...]:
-        return tuple(c for g in self.generators for c in g.coords)
-
 
 def polytope(rows: Iterable[Sequence]) -> Polytope:
     from .geometry import parse_points

@@ -172,16 +172,19 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         if grid_step <= 0:
             raise _fail("grid_step", "must be positive")
 
+    def in_bounds(values: tuple[Fraction, ...], path: str) -> tuple[Fraction, ...]:
+        for v in values:
+            if not bounds.contains(v):
+                raise _fail(path, "value %s outside bounds %s" % (v, bounds))
+        return values
+
     def parse_point(raw: Any, path: str) -> Point:
         nonlocal dim
         coords = _values(raw, path)
         if not coords:
             raise _fail(path, "empty point")
         dim = _check_dim(dim, len(coords), path)
-        for c in coords:
-            if not bounds.contains(c):
-                raise _fail(path, "value %s outside bounds %s" % (c, bounds))
-        return Point(coords)
+        return Point(in_bounds(coords, path))
 
     def parse_point_list(raw: Any, path: str) -> tuple[Point, ...]:
         if not isinstance(raw, Sequence) or isinstance(raw, str):
@@ -223,7 +226,10 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         path = "matrices.%s" % name
         if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
             raise _fail(path, "expected a non-empty list of rows")
-        rows = [_values(row, "%s[%d]" % (path, i)) for i, row in enumerate(raw)]
+        rows = [
+            in_bounds(_values(row, "%s[%d]" % (path, i)), "%s[%d]" % (path, i))
+            for i, row in enumerate(raw)
+        ]
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise _fail(path, "ragged rows")
@@ -238,8 +244,8 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         path = "hyperplanes.%s" % name
         if not isinstance(raw, Mapping) or set(raw) != {"a", "b"}:
             raise _fail(path, 'expected {"a": [...], "b": [...]}')
-        a = _values(raw["a"], path + ".a")
-        b = _values(raw["b"], path + ".b")
+        a = in_bounds(_values(raw["a"], path + ".a"), path + ".a")
+        b = in_bounds(_values(raw["b"], path + ".b"), path + ".b")
         try:
             h = Hyperplane(a, b)
         except ValueError as exc:

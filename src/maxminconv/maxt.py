@@ -21,7 +21,9 @@ each projection onto a grid refined by a uniform rational step (default
 instead of claiming emptiness.  Each question is encoded once: one
 search context holds its points and every value, the grid's included,
 as an integer numerator over the grid's common denominator, for every
-norm, and the groups it searches are tuples of point indices.
+norm, and the groups it searches are tuples of point indices.  The grid
+itself is built as those integers (``core.grid_levels``), the multiples
+of a step as one integer range.
 
 A centerpoint must lie in the hull of every m0-subset of the n points,
 but the subsets are never listed.  The principal coefficient of a
@@ -53,8 +55,7 @@ from .core import (
     PreconditionError,
     ResolutionExhausted,
     TNorm,
-    common_denominator,
-    value_grid,
+    grid_levels,
 )
 from .geometry import Point, _check_bounds, _check_same_dim
 from .hull import Polytope
@@ -176,9 +177,9 @@ class _Search:
     The grid holds the point coordinates and both bounds, refined by
     ``step`` (None for the exact min grid).  Every value is kept as its
     numerator over ``denom``, the common denominator of the grid:
-    ``levels`` for the grid, ``top`` for hi, and ``gens[i]`` for
-    points[i] homogenized to (top, x).  Groups of generators are tuples
-    of point indices.
+    ``levels`` for the grid, as ``core.grid_levels`` builds it, ``top``
+    for hi, and ``gens[i]`` for points[i] homogenized to (top, x).
+    Groups of generators are tuples of point indices.
     """
 
     points: tuple[Point, ...]
@@ -191,17 +192,20 @@ class _Search:
 
 
 def _search(points: Sequence[Point], tnorm: TNorm, grid_step: Fraction | None) -> _Search:
-    """The search context of one question; a min search never refines its grid."""
+    """The search context of one question; a min search never refines its grid.
+
+    ``grid_levels`` gives the grid's integer levels and denominator
+    directly; only the point coordinates and hi are encoded here.
+    """
     step = None if tnorm.is_min else (DEFAULT_STEP if grid_step is None else grid_step)
-    grid = value_grid([c for p in points for c in p.coords], tnorm.bounds, step=step)
-    denom = common_denominator(grid)
+    levels, denom = grid_levels([c for p in points for c in p.coords], tnorm.bounds, step)
 
     def level(v: Fraction) -> int:
         return v.numerator * (denom // v.denominator)
 
     top = level(tnorm.bounds.hi)
     gens = tuple((top, *map(level, p.coords)) for p in points)
-    return _Search(tuple(points), tnorm, step, tuple(map(level, grid)), denom, top, gens)
+    return _Search(tuple(points), tnorm, step, levels, denom, top, gens)
 
 
 def _project(

@@ -59,9 +59,6 @@ class Box:
     def contains(self, q: Point) -> bool:
         return self.lower.leq(q) and q.leq(self.upper)
 
-    def coordinates(self) -> tuple[Fraction, ...]:
-        return tuple(self.lower.coords) + tuple(self.upper.coords)
-
     def corners(self) -> tuple[Point, ...]:
         """All 2^d corner points (with repeats collapsed when degenerate)."""
         axes = [

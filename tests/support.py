@@ -11,8 +11,15 @@ import random
 from fractions import Fraction
 
 from maxminconv import Point, Polytope
-from maxminconv.core import tnorm_apply
-from maxminconv.maxt import _common_point, _member_exact, _search
+from maxminconv.core import (
+    MAX_STEP_VALUES,
+    DomainError,
+    PreconditionError,
+    as_value,
+    common_denominator,
+    tnorm_apply,
+)
+from maxminconv.maxt import DEFAULT_STEP, _common_point, _member_exact, _search
 
 
 def rational(rng: random.Random, den: int = 8) -> Fraction:
@@ -107,3 +114,52 @@ def brute_hull_member_loop(p, generators, grid, tnorm):
         ):
             return True
     return False
+
+
+def value_grid_loop(values, bounds, step=None):
+    """The search grid as sorted Fractions, each step multiple by addition.
+
+    The reference for ``core.grid_levels``: the bounds, every value and
+    every multiple of step inside the bounds, gathered as Fractions in a
+    set, with the same three refusals in the same order.
+    """
+    grid = {bounds.lo, bounds.hi}
+    for v in values:
+        if not bounds.contains(v):
+            raise DomainError("grid value %s outside bounds %s" % (v, bounds))
+        grid.add(v)
+    if step is not None:
+        step = as_value(step)
+        if step <= 0:
+            raise ValueError("grid step must be positive")
+        k = -(-bounds.lo // step)  # ceil division
+        count = bounds.hi // step - k + 1
+        if count > MAX_STEP_VALUES:
+            raise PreconditionError(
+                "grid step %s puts %d values in %s, more than the %d a search accepts"
+                % (step, count, bounds, MAX_STEP_VALUES)
+            )
+        v = k * step
+        while v <= bounds.hi:
+            grid.add(v)
+            v += step
+    return tuple(sorted(grid))
+
+
+def search_encoding_loop(points, tnorm, grid_step):
+    """``(levels, denom, top, gens)`` of a search, from ``value_grid_loop``.
+
+    The reference for ``maxt._search``: the Fraction grid first, then
+    every value, the grid's included, as its numerator over the grid's
+    common denominator.
+    """
+    step = None if tnorm.is_min else (DEFAULT_STEP if grid_step is None else grid_step)
+    grid = value_grid_loop([c for p in points for c in p.coords], tnorm.bounds, step)
+    denom = common_denominator(grid)
+
+    def level(v):
+        return v.numerator * (denom // v.denominator)
+
+    top = level(tnorm.bounds.hi)
+    gens = tuple((top, *map(level, p.coords)) for p in points)
+    return tuple(map(level, grid)), denom, top, gens

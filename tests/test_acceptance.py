@@ -346,7 +346,7 @@ def test_criterion_07_separation():
         confirmed += 1
 
         anchors = sorted(
-            set(c.coordinates())
+            {v for g in c for v in g.coords}
             | set(b.lower.coords)
             | set(b.upper.coords)
             | {Fraction(0), Fraction(1)}

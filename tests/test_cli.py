@@ -584,6 +584,25 @@ def test_bounds_override(capsys, tmp_path):
     assert doc["result"]["valid_indices"] == [0, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "section, argv, message",
+    [
+        ({"matrices": {"A": [["5", "-3"], ["1/2", "2/5"], ["1/5", "1"]]}},
+         ["tight-diagram", "--matrix", "A"],
+         "error: matrices.A[0]: value 5 outside bounds [0, 1]\n"),
+        ({"hyperplanes": {"H": {"a": ["7", "0", "1/5"], "b": ["0", "3/5", "1/5"]}}},
+         ["render", "--figure", "hyperplane", "--hyperplane", "H"],
+         "error: hyperplanes.H.a: value 7 outside bounds [0, 1]\n"),
+    ],
+    ids=["tight-diagram", "render-hyperplane"],
+)
+def test_matrix_and_hyperplane_entries_are_bounded(capsys, tmp_path, section, argv, message):
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps({"schema": 1, **section}))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (1, "", message)
+
+
 def test_min_only_command_rejects_other_tnorm(capsys, instance_path):
     code, out, err = run(
         capsys, "segment", instance_path, "--x", "x", "--y", "y", "--tnorm", "product"

@@ -12,15 +12,19 @@ from maxminconv.core import (
     PRODUCT,
     UNIT,
     DomainError,
+    PreconditionError,
     SemiringBounds,
     as_value,
     common_denominator,
     format_value,
+    grid_levels,
     residual,
     tnorm_apply,
     tnorm_from_tag,
     value_grid,
 )
+
+from support import value_grid_loop
 
 ALL_TNORMS = (MIN, PRODUCT, LUKASIEWICZ)
 
@@ -228,6 +232,71 @@ def test_value_grid_with_step():
     for k in range(5):
         assert Fraction(k, 4) in grid
     assert Fraction(1, 3) in grid
+
+
+def _scaled(grid):
+    """A Fraction grid as (levels, denom) over its common denominator."""
+    denom = common_denominator(grid)
+    return tuple(v.numerator * (denom // v.denominator) for v in grid), denom
+
+
+@st.composite
+def _grid_questions(draw):
+    """Values inside non-unit bounds (negative lo too), and a step with
+    0, 1, 2 or many multiples inside the bounds, or none."""
+    lo = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 9)))
+    hi = lo + Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 9)))
+    values = draw(st.lists(st.integers(0, 12).map(lambda i: lo + (hi - lo) * Fraction(i, 12)),
+                           max_size=6))
+    # a step of width times r puts about 1/r multiples inside the bounds
+    r = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    step = draw(st.sampled_from([None, (hi - lo) * r, Fraction(1, draw(st.integers(1, 60)))]))
+    return values, SemiringBounds(lo, hi), step
+
+
+@given(_grid_questions())
+def test_grid_levels_match_the_fraction_loop(question):
+    values, bounds, step = question
+    expected = value_grid_loop(values, bounds, step)
+    assert grid_levels(values, bounds, step) == _scaled(expected)
+    assert value_grid(values, bounds, step) == expected
+
+
+@pytest.mark.parametrize(
+    "bounds, step, multiples",
+    [
+        (SemiringBounds(Fraction(1, 4), Fraction(3, 4)), Fraction(1), 0),
+        (SemiringBounds(Fraction(1, 4), Fraction(3, 4)), Fraction(1, 2), 1),
+        (SemiringBounds(Fraction(1, 4), Fraction(3, 4)), Fraction(1, 3), 2),
+        (SemiringBounds(Fraction(-1, 3), Fraction(1, 5)), Fraction(1, 7), 4),
+        (SemiringBounds(Fraction(-2), Fraction(-1, 2)), Fraction(3, 10), 5),
+        (UNIT, Fraction(1, 30), 31),
+    ],
+)
+def test_grid_levels_by_multiple_count(bounds, step, multiples):
+    values = [bounds.lo + (bounds.hi - bounds.lo) * Fraction(2, 7)]
+    on_grid = [v for v in value_grid_loop([], bounds, step) if v / step == v // step]
+    assert len(on_grid) == multiples
+    assert grid_levels(values, bounds, step) == _scaled(value_grid_loop(values, bounds, step))
+
+
+@pytest.mark.parametrize(
+    "values, step, error, message",
+    [
+        ([Fraction(1, 2), Fraction(3, 2)], Fraction(0), DomainError,
+         "grid value 3/2 outside bounds [0, 1]"),
+        ([], Fraction(0), ValueError, "grid step must be positive"),
+        ([], Fraction(-1, 4), ValueError, "grid step must be positive"),
+        ([], Fraction(1, 10**5), PreconditionError,
+         "grid step 1/100000 puts 100001 values in [0, 1], more than the 10001 a search accepts"),
+    ],
+    ids=["value-outside", "zero-step", "negative-step", "step-too-fine"],
+)
+def test_grid_refusals(values, step, error, message):
+    for build in (grid_levels, value_grid, value_grid_loop):
+        with pytest.raises(error) as exc:
+            build(values, UNIT, step)
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_common_denominator():

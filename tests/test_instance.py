@@ -227,8 +227,17 @@ def test_coordinate_outside_bounds():
          "colorings.K[1][1]: value -1 outside bounds [0, 1]"),
         ({"bounds": ["-1", "2"], "points": {"p": ["5/2"]}},
          "points.p: value 5/2 outside bounds [-1, 2]"),
+        ({"matrices": {"A": [["0.1", "0.2"], ["1/2", "-3"], ["1/5", "1"]]}},
+         "matrices.A[1]: value -3 outside bounds [0, 1]"),
+        ({"hyperplanes": {"H": {"a": ["7", "0", "1/5"], "b": ["0", "3/5", "1/5"]}}},
+         "hyperplanes.H.a: value 7 outside bounds [0, 1]"),
+        ({"hyperplanes": {"H": {"a": ["3/5", "0", "1/5"], "b": ["0", "3/5", "6/5"]}}},
+         "hyperplanes.H.b: value 6/5 outside bounds [0, 1]"),
     ],
-    ids=["points", "pointsets", "polytopes", "boxes", "colorings", "wide-bounds"],
+    ids=[
+        "points", "pointsets", "polytopes", "boxes", "colorings", "wide-bounds",
+        "matrices", "hyperplane-a", "hyperplane-b",
+    ],
 )
 def test_bounds_error_names_the_point(sections, message):
     with pytest.raises(DomainError) as exc:

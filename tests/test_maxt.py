@@ -23,6 +23,7 @@ from maxminconv.maxt import (
     CommonWitness,
     CounterexampleSubfamily,
     _member_exact,
+    _search,
     attainment_counts,
     centerpoint,
     helly_check,
@@ -37,6 +38,7 @@ from support import (
     random_point,
     random_polytope,
     search_common_point,
+    search_encoding_loop,
 )
 
 ALL_TNORMS = (MIN, PRODUCT, LUKASIEWICZ)
@@ -366,6 +368,23 @@ def test_min_searches_ignore_the_grid_step(data, d, k):
     if d <= 2:
         pts = points(2 * (d + 1) + 1)
         assert tverberg_search(pts, 3, MIN, step) == tverberg_search(pts, 3, MIN)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    tnorm=st.sampled_from([PRODUCT, LUKASIEWICZ]),
+    d=st.integers(1, 3),
+    step=st.sampled_from([None, Fraction(1, 20), Fraction(1, 30), Fraction(1, 50),
+                          Fraction(2, 15), Fraction(3, 7), Fraction(1, 1)]),
+)
+def test_search_encoding_matches_the_fraction_grid(data, tnorm, d, step):
+    """The integer grid builder encodes a search as the Fraction grid did."""
+    pts = data.draw(_rational_points(d, 8))
+    search = _search(pts, tnorm, step)
+    assert (search.levels, search.denom, search.top, search.gens) == search_encoding_loop(
+        pts, tnorm, step
+    )
 
 
 @st.composite

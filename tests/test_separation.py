@@ -188,7 +188,8 @@ def test_separate_box_rejects_overlap():
 
 
 def coordinate_grid(b: Box, c: Polytope, bounds=UNIT) -> list[Fraction]:
-    return sorted(set(c.coordinates()) | set(b.coordinates()) | {bounds.lo, bounds.hi})
+    coords = {v for g in c for v in g.coords}
+    return sorted(coords | {*b.lower.coords, *b.upper.coords, bounds.lo, bounds.hi})
 
 
 def inside_axes(b: Box, grid) -> list[list[Fraction]]:
@@ -354,7 +355,7 @@ def test_box_questions_run_without_the_grid_scan(monkeypatch):
 
     # every generator sits above the box ceiling off coordinate 0: not separable
     c = Polytope(tuple(Point(tuple(coordinate(500, 1000) for _ in range(d))) for _ in range(8)))
-    assert len(set(c.coordinates())) >= 40
+    assert len({v for g in c for v in g.coords}) >= 40
     b = Box(lower=point(["0.1"] * d), upper=point(["1"] + ["0.3"] * (d - 1)))
     res = separate_box(b, c)
     assert isinstance(res, NonSeparable)
