@@ -49,12 +49,24 @@ class ResolutionExhausted(RuntimeError):
         self.grid_size = grid_size
 
 
+# Longest numeral string, and largest decimal exponent magnitude, that
+# ``as_value`` accepts.  Every value is printed back as "p/q", and Python
+# refuses to convert an int of more than 4300 digits to text; within
+# these limits an input's numerator and denominator have at most 2000
+# digits, so an input and the product of two inputs both print.  The
+# exponent is checked before the Fraction is built, because building
+# Fraction("1e-40000000") alone takes about a minute.
+NUMERAL_LIMIT = 1000
+
+
 def as_value(x: RationalLike) -> Fraction:
     """Coerce ``x`` to an exact Fraction.
 
     Accepts Fractions, ints and strings ("3/10" or "0.3").  Floats are
     rejected on purpose: binary floats silently misrepresent decimal
-    inputs and this library promises exact arithmetic.
+    inputs and this library promises exact arithmetic.  A string longer
+    than ``NUMERAL_LIMIT`` characters, or with a decimal exponent beyond
+    ``NUMERAL_LIMIT`` in magnitude, is refused with ValueError.
     """
     if isinstance(x, Fraction):
         return x
@@ -63,6 +75,23 @@ def as_value(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if len(x) > NUMERAL_LIMIT:
+            raise ValueError(
+                "numeral of %d characters, more than the %d accepted"
+                % (len(x), NUMERAL_LIMIT)
+            )
+        _, marker, tail = x.lower().partition("e")
+        if marker:
+            try:
+                exponent = int(tail)
+            except ValueError:
+                pass  # not a numeral; Fraction says why
+            else:
+                if abs(exponent) > NUMERAL_LIMIT:
+                    raise ValueError(
+                        "exponent %d in %r is beyond the %d accepted"
+                        % (exponent, x, NUMERAL_LIMIT)
+                    )
         try:
             return Fraction(x)
         except ZeroDivisionError:

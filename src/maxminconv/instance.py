@@ -6,6 +6,15 @@ numbers are intercepted before float conversion, so "0.1" means one
 tenth, not the nearest double.  Serialization writes fractions in p/q
 form, which makes parse -> dump -> parse the identity.
 
+Within one document each distinct numeral string is converted once and
+checked against the bounds once; later occurrences reuse both.  Errors
+name the path of the first offending value, in document order: per
+row, a numeral that does not parse first, then an empty point or a
+dimension mismatch, then the first value outside the bounds.  A numeral
+longer than ``core.NUMERAL_LIMIT`` characters, or with a decimal
+exponent beyond it, is refused at its path, bare JSON numbers included,
+since its value could not be printed back.
+
 Top-level sections (all optional, all holding named objects):
 
     schema      literal 1
@@ -31,6 +40,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .core import (
+    NUMERAL_LIMIT,
     DomainError,
     SemiringBounds,
     TNorm,
@@ -67,17 +77,22 @@ def _fail(path: str, message: str) -> DomainError:
     return DomainError("%s: %s" % (path, message))
 
 
-def _value(raw: Any, path: str) -> Fraction:
+def _value(raw: Any, path: str, index: int | None = None) -> Fraction:
+    """``raw`` as a Fraction; a refusal names ``path``, or ``path[index]``."""
     try:
+        if isinstance(raw, ValueError):
+            raise raw  # a JSON number that parse_raw could not convert
         return as_value(raw)
     except (ValueError, TypeError) as exc:
+        if index is not None:
+            path = "%s[%d]" % (path, index)
         raise _fail(path, str(exc)) from None
 
 
-def _values(raw: Any, path: str) -> tuple[Fraction, ...]:
+def _numeral_list(raw: Any, path: str) -> Sequence[Any]:
     if not isinstance(raw, Sequence) or isinstance(raw, str):
         raise _fail(path, "expected a list of numerals")
-    return tuple(_value(v, "%s[%d]" % (path, i)) for i, v in enumerate(raw))
+    return raw
 
 
 def _named(raw: Any, path: str) -> dict[str, Any]:
@@ -148,7 +163,10 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     if raw_bounds is None:
         bounds = UNIT
     else:
-        pair = _values(raw_bounds, "bounds")
+        pair = [
+            _value(v, "bounds", i)
+            for i, v in enumerate(_numeral_list(raw_bounds, "bounds"))
+        ]
         if len(pair) != 2:
             raise _fail("bounds", "expected [lo, hi]")
         bounds = SemiringBounds(pair[0], pair[1])
@@ -172,19 +190,37 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         if grid_step <= 0:
             raise _fail("grid_step", "must be positive")
 
-    def in_bounds(values: tuple[Fraction, ...], path: str) -> tuple[Fraction, ...]:
-        for v in values:
-            if not bounds.contains(v):
-                raise _fail(path, "value %s outside bounds %s" % (v, bounds))
-        return values
+    # One entry per distinct numeral string of the document: its value
+    # and whether it lies inside the bounds.  Keys are strings only, as
+    # JSON true == 1 and hash(True) == hash(1).
+    numerals: dict[str, tuple[Fraction, bool]] = {}
+
+    def parse_row(raw: Any, path: str, point: bool = True) -> tuple[Fraction, ...]:
+        """A row's values: parse errors first; for a point, the empty and
+        dimension checks next; the first value outside the bounds last."""
+        nonlocal dim
+        values = []
+        outside = None
+        for i, v in enumerate(_numeral_list(raw, path)):
+            entry = numerals.get(v) if isinstance(v, str) else None
+            if entry is None:
+                value = _value(v, path, i)
+                entry = (value, bounds.contains(value))
+                if isinstance(v, str):
+                    numerals[v] = entry
+            values.append(entry[0])
+            if outside is None and not entry[1]:
+                outside = entry[0]
+        if point:
+            if not values:
+                raise _fail(path, "empty point")
+            dim = _check_dim(dim, len(values), path)
+        if outside is not None:
+            raise _fail(path, "value %s outside bounds %s" % (outside, bounds))
+        return tuple(values)
 
     def parse_point(raw: Any, path: str) -> Point:
-        nonlocal dim
-        coords = _values(raw, path)
-        if not coords:
-            raise _fail(path, "empty point")
-        dim = _check_dim(dim, len(coords), path)
-        return Point(in_bounds(coords, path))
+        return Point(parse_row(raw, path))
 
     def parse_point_list(raw: Any, path: str) -> tuple[Point, ...]:
         if not isinstance(raw, Sequence) or isinstance(raw, str):
@@ -227,8 +263,7 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
             raise _fail(path, "expected a non-empty list of rows")
         rows = [
-            in_bounds(_values(row, "%s[%d]" % (path, i)), "%s[%d]" % (path, i))
-            for i, row in enumerate(raw)
+            parse_row(row, "%s[%d]" % (path, i), point=False) for i, row in enumerate(raw)
         ]
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
@@ -244,8 +279,8 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         path = "hyperplanes.%s" % name
         if not isinstance(raw, Mapping) or set(raw) != {"a", "b"}:
             raise _fail(path, 'expected {"a": [...], "b": [...]}')
-        a = in_bounds(_values(raw["a"], path + ".a"), path + ".a")
-        b = in_bounds(_values(raw["b"], path + ".b"), path + ".b")
+        a = parse_row(raw["a"], path + ".a", point=False)
+        b = parse_row(raw["b"], path + ".b", point=False)
         try:
             h = Hyperplane(a, b)
         except ValueError as exc:
@@ -348,10 +383,27 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
     return doc
 
 
+def _json_number(text: str) -> Fraction | ValueError:
+    """A JSON number as an exact value, or the ValueError that refuses it.
+
+    json.loads does not say where in the document a number stands, so a
+    refusal is returned, not raised: ``_value`` raises it under the
+    number's path.
+    """
+    try:
+        return as_value(text)
+    except ValueError as exc:
+        return exc
+
+
+def _json_integer(text: str) -> int | ValueError:
+    return int(text) if len(text) <= NUMERAL_LIMIT else _json_number(text)
+
+
 def parse_raw(text: str) -> dict[str, Any]:
     """JSON text to a raw section dict with exact numerals, unvalidated."""
     try:
-        doc = json.loads(text, parse_float=as_value)
+        doc = json.loads(text, parse_float=_json_number, parse_int=_json_integer)
     except json.JSONDecodeError as exc:
         raise DomainError("invalid JSON at line %d column %d: %s"
                           % (exc.lineno, exc.colno, exc.msg)) from None

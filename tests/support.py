@@ -9,16 +9,31 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Any, Mapping, Sequence
 
 from maxminconv import Point, Polytope
 from maxminconv.core import (
     MAX_STEP_VALUES,
+    UNIT,
     DomainError,
     PreconditionError,
+    SemiringBounds,
+    TNorm,
     as_value,
     common_denominator,
     tnorm_apply,
 )
+from maxminconv.instance import (
+    _SECTIONS,
+    SCHEMA_VERSION,
+    Instance,
+    _check_dim,
+    _fail,
+    _named,
+)
+from maxminconv.koenig import Matrix
+from maxminconv.semispaces import Hyperplane
+from maxminconv.separation import Box
 from maxminconv.maxt import DEFAULT_STEP, _common_point, _member_exact, _search
 
 
@@ -163,3 +178,181 @@ def search_encoding_loop(points, tnorm, grid_step):
     top = level(tnorm.bounds.hi)
     gens = tuple((top, *map(level, p.coords)) for p in points)
     return tuple(map(level, grid)), denom, top, gens
+
+
+def _value_loop(raw, path):
+    try:
+        return as_value(raw)
+    except (ValueError, TypeError) as exc:
+        raise _fail(path, str(exc)) from None
+
+
+def _values_loop(raw, path):
+    if not isinstance(raw, Sequence) or isinstance(raw, str):
+        raise _fail(path, "expected a list of numerals")
+    return tuple(_value_loop(v, "%s[%d]" % (path, i)) for i, v in enumerate(raw))
+
+
+def instance_from_dict_loop(doc):
+    """``instance.instance_from_dict`` with one conversion per coordinate.
+
+    The reference for the numeral table of ``instance_from_dict``: every
+    coordinate is converted, path-named and checked against the bounds
+    where it stands, with the same errors in the same order.
+    """
+    for key in doc:
+        if key not in _SECTIONS:
+            raise _fail(key, "unknown section (known: %s)" % (", ".join(_SECTIONS)))
+    schema = doc.get("schema")
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:
+        raise _fail("schema", "expected %d, got %r" % (SCHEMA_VERSION, schema))
+
+    raw_bounds = doc.get("bounds")
+    if raw_bounds is None:
+        bounds = UNIT
+    else:
+        pair = _values_loop(raw_bounds, "bounds")
+        if len(pair) != 2:
+            raise _fail("bounds", "expected [lo, hi]")
+        bounds = SemiringBounds(pair[0], pair[1])
+
+    tag = doc.get("tnorm", "min")
+    try:
+        tnorm = TNorm(tag, bounds)
+    except ValueError as exc:
+        raise _fail("tnorm", str(exc)) from None
+
+    dimension = doc.get("dimension")
+    if dimension is not None and (
+        isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1
+    ):
+        raise _fail("dimension", "expected a positive integer, got %r" % (dimension,))
+    dim = dimension
+
+    grid_step = None
+    if doc.get("grid_step") is not None:
+        grid_step = _value_loop(doc["grid_step"], "grid_step")
+        if grid_step <= 0:
+            raise _fail("grid_step", "must be positive")
+
+    def in_bounds(values: tuple[Fraction, ...], path: str) -> tuple[Fraction, ...]:
+        for v in values:
+            if not bounds.contains(v):
+                raise _fail(path, "value %s outside bounds %s" % (v, bounds))
+        return values
+
+    def parse_point(raw: Any, path: str) -> Point:
+        nonlocal dim
+        coords = _values_loop(raw, path)
+        if not coords:
+            raise _fail(path, "empty point")
+        dim = _check_dim(dim, len(coords), path)
+        return Point(in_bounds(coords, path))
+
+    def parse_point_list(raw: Any, path: str) -> tuple[Point, ...]:
+        if not isinstance(raw, Sequence) or isinstance(raw, str):
+            raise _fail(path, "expected a list of points")
+        return tuple(
+            parse_point(row, "%s[%d]" % (path, i)) for i, row in enumerate(raw)
+        )
+
+    points = {
+        name: parse_point(raw, "points.%s" % name)
+        for name, raw in _named(doc.get("points"), "points").items()
+    }
+    pointsets = {
+        name: parse_point_list(raw, "pointsets.%s" % name)
+        for name, raw in _named(doc.get("pointsets"), "pointsets").items()
+    }
+    polytopes = {}
+    for name, raw in _named(doc.get("polytopes"), "polytopes").items():
+        path = "polytopes.%s" % name
+        rows = parse_point_list(raw, path)
+        if not rows:
+            raise _fail(path, "a polytope needs at least one generator")
+        polytopes[name] = Polytope(rows)
+
+    boxes = {}
+    for name, raw in _named(doc.get("boxes"), "boxes").items():
+        path = "boxes.%s" % name
+        if not isinstance(raw, Mapping) or set(raw) != {"lower", "upper"}:
+            raise _fail(path, 'expected {"lower": [...], "upper": [...]}')
+        lower = parse_point(raw["lower"], path + ".lower")
+        upper = parse_point(raw["upper"], path + ".upper")
+        try:
+            boxes[name] = Box(lower, upper)
+        except ValueError as exc:
+            raise _fail(path, str(exc)) from None
+
+    matrices = {}
+    for name, raw in _named(doc.get("matrices"), "matrices").items():
+        path = "matrices.%s" % name
+        if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
+            raise _fail(path, "expected a non-empty list of rows")
+        rows = [
+            in_bounds(_values_loop(row, "%s[%d]" % (path, i)), "%s[%d]" % (path, i))
+            for i, row in enumerate(raw)
+        ]
+        ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
+            raise _fail(path, "ragged rows")
+        dim = _check_dim(dim, ncols, path)
+        try:
+            matrices[name] = Matrix(tuple(rows))
+        except ValueError as exc:
+            raise _fail(path, str(exc)) from None
+
+    hyperplanes = {}
+    for name, raw in _named(doc.get("hyperplanes"), "hyperplanes").items():
+        path = "hyperplanes.%s" % name
+        if not isinstance(raw, Mapping) or set(raw) != {"a", "b"}:
+            raise _fail(path, 'expected {"a": [...], "b": [...]}')
+        a = in_bounds(_values_loop(raw["a"], path + ".a"), path + ".a")
+        b = in_bounds(_values_loop(raw["b"], path + ".b"), path + ".b")
+        try:
+            h = Hyperplane(a, b)
+        except ValueError as exc:
+            raise _fail(path, str(exc)) from None
+        dim = _check_dim(dim, h.dim, path)
+        hyperplanes[name] = h
+
+    families = {}
+    for name, raw in _named(doc.get("families"), "families").items():
+        path = "families.%s" % name
+        if not isinstance(raw, Sequence) or isinstance(raw, str):
+            raise _fail(path, "expected a list of polytope names")
+        for i, member in enumerate(raw):
+            if not isinstance(member, str) or member not in polytopes:
+                raise _fail(
+                    "%s[%d]" % (path, i),
+                    "unknown polytope %r; available: %s" % (member, sorted(polytopes)),
+                )
+        families[name] = tuple(raw)
+
+    colorings = {}
+    for name, raw in _named(doc.get("colorings"), "colorings").items():
+        path = "colorings.%s" % name
+        if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
+            raise _fail(path, "expected a non-empty list of color classes")
+        classes = []
+        for i, cls in enumerate(raw):
+            rows = parse_point_list(cls, "%s[%d]" % (path, i))
+            if not rows:
+                raise _fail("%s[%d]" % (path, i), "empty color class")
+            classes.append(Polytope(rows))
+        colorings[name] = tuple(classes)
+
+    return Instance(
+        tnorm=tnorm,
+        bounds=bounds,
+        dimension=dimension,
+        grid_step=grid_step,
+        points=points,
+        pointsets=pointsets,
+        polytopes=polytopes,
+        boxes=boxes,
+        matrices=matrices,
+        hyperplanes=hyperplanes,
+        families=families,
+        colorings=colorings,
+    )

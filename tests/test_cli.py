@@ -840,6 +840,44 @@ def test_zero_denominator_is_an_input_error(capsys, instance_path, tmp_path):
     assert err == "error: bounds[1]: zero denominator in '1/0'\n"
 
 
+def _pair(x):
+    return '{"schema": 1, "points": {"x": [%s, "1/2"], "y": ["1/5", "3/10"]}}' % x
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (_pair('"1e5000"'), ["segment", "--x", "x", "--y", "y"],
+         "points.x[0]: exponent 5000 in '1e5000' is beyond the 1000 accepted"),
+        (_pair('"1e-5000"'), ["segment", "--x", "x", "--y", "y"],
+         "points.x[0]: exponent -5000 in '1e-5000' is beyond the 1000 accepted"),
+        (_pair('"1e-5000"'), ["distance", "--x", "x", "--y", "y"],
+         "points.x[0]: exponent -5000 in '1e-5000' is beyond the 1000 accepted"),
+        (json.dumps(INTERVALS),
+         ["radon", "--pointset", "line", "--tnorm", "product", "--grid-step", "1e-5000"],
+         "grid_step: exponent -5000 in '1e-5000' is beyond the 1000 accepted"),
+        ('{"schema": 1, "pointsets": {"line": [["1/2"], ["1e-20000000"], ["9/10"]]}}',
+         ["radon", "--pointset", "line"],
+         "pointsets.line[1][0]: exponent -20000000 in '1e-20000000' is beyond the 1000 accepted"),
+        (_pair("1" * 5001), ["segment", "--x", "x", "--y", "y"],
+         "points.x[0]: numeral of 5001 characters, more than the 1000 accepted"),
+        (_pair("1e5000"), ["segment", "--x", "x", "--y", "y"],
+         "points.x[0]: exponent 5000 in '1e5000' is beyond the 1000 accepted"),
+    ],
+    ids=[
+        "segment-1e5000", "segment-1e-5000", "distance-1e-5000", "grid-step-1e-5000",
+        "radon-1e-20000000", "bare-5001-digit-integer", "bare-1e5000",
+    ],
+)
+def test_numerals_that_cannot_be_printed_back_are_refused(capsys, tmp_path, text, argv, message):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
 def test_over_fine_grid_step_is_refused_before_it_is_built(capsys, intervals_path):
     argv = ("radon", intervals_path, "--pointset", "line", "--tnorm", "product")
     start = time.perf_counter()

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from maxminconv.core import (
     LUKASIEWICZ,
     MIN,
+    NUMERAL_LIMIT,
     PRODUCT,
     UNIT,
     DomainError,
@@ -57,6 +58,24 @@ def test_as_value_rejects_floats_and_junk():
         as_value("zebra")
     with pytest.raises(TypeError):
         as_value(0.1)  # binary floats are not exact inputs
+
+
+def test_as_value_refuses_numerals_that_cannot_be_printed_back():
+    """Length and exponent are checked before the Fraction is built."""
+    assert as_value("1e-%d" % NUMERAL_LIMIT) == Fraction(1, 10**NUMERAL_LIMIT)
+    assert as_value("1E+%d" % NUMERAL_LIMIT) == 10**NUMERAL_LIMIT
+    assert as_value("7" * NUMERAL_LIMIT) == int("7" * NUMERAL_LIMIT)
+    with pytest.raises(ValueError) as exc:
+        as_value("1e-40000000")
+    assert str(exc.value) == "exponent -40000000 in '1e-40000000' is beyond the 1000 accepted"
+    with pytest.raises(ValueError) as exc:
+        as_value("0.5e1_001")
+    assert str(exc.value) == "exponent 1001 in '0.5e1_001' is beyond the 1000 accepted"
+    with pytest.raises(ValueError) as exc:
+        as_value("7" * (NUMERAL_LIMIT + 1))
+    assert str(exc.value) == "numeral of 1001 characters, more than the 1000 accepted"
+    with pytest.raises(ValueError, match="Invalid literal"):
+        as_value("1e")  # no exponent to check: Fraction refuses it
 
 
 def test_format_value_round_trips():

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from maxminconv.core import DomainError, UNIT
 from maxminconv.geometry import point
@@ -14,6 +15,8 @@ from maxminconv.instance import (
     loads_instance,
     parse_raw,
 )
+
+from support import instance_from_dict_loop
 
 FULL_DOC = """
 {
@@ -263,6 +266,68 @@ def test_bounds_error_is_reported_in_document_order():
     }
     with pytest.raises(DomainError) as exc:
         instance_from_dict(doc)
+    assert str(exc.value) == "points.p: value 3/2 outside bounds [0, 1]"
+
+
+# Numerals as instance_from_dict receives them from parse_raw: strings,
+# ints, and Fractions for bare JSON decimals; besides JSON booleans,
+# floats from other callers, and malformed or out-of-bounds values.  A
+# small pool makes most numerals repeat within their document.
+_GOOD_NUMERALS = [
+    "0", "1", "1/2", "0.5", "3/2", "2", "-1", "0.25", " 1/2 ",
+    0, 1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(1),
+]
+_BAD_NUMERALS = [
+    True, False, 0.5, None, [], "", "zebra", "1/0", "1e5000", "1e-1001", "7" * 1001,
+]
+_numerals = st.sampled_from(_GOOD_NUMERALS * 4 + _BAD_NUMERALS)
+
+
+@st.composite
+def _numeral_documents(draw):
+    d = draw(st.integers(1, 3))
+    fits = st.lists(_numerals, min_size=d, max_size=d)
+    row = st.one_of(fits, fits, st.lists(_numerals, max_size=d + 1))  # 2 in 3 fit d
+    rows = st.lists(row, min_size=1, max_size=3)
+    named = lambda entry: st.dictionaries(st.sampled_from("pqr"), entry, max_size=2)
+    doc = {"schema": 1}
+    if draw(st.booleans()):
+        doc["bounds"] = draw(st.sampled_from([["0", "2"], ["-1", "2"], [0, "3/2"]]))
+    doc["points"] = draw(named(row))
+    doc["pointsets"] = draw(named(rows))
+    doc["polytopes"] = draw(named(rows))
+    doc["boxes"] = draw(named(st.fixed_dictionaries({"lower": row, "upper": row})))
+    doc["matrices"] = draw(named(st.lists(row, min_size=1, max_size=d + 1)))
+    vector = st.lists(_numerals, min_size=d + 1, max_size=d + 1)
+    doc["hyperplanes"] = draw(named(st.fixed_dictionaries({"a": vector, "b": vector})))
+    doc["colorings"] = draw(named(st.lists(rows, min_size=1, max_size=d + 1)))
+    return doc
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_numeral_documents())
+@example(doc={"schema": 1, "points": {"p": ["1", "0"], "q": [True, "0"]}})
+@example(doc={"schema": 1, "points": {"p": [1, 0], "q": [1, False]}})
+@example(doc={"schema": 1, "points": {"p": ["3/2", "zebra"], "q": ["3/2"]}})
+@example(doc={"schema": 1, "points": {"p": ["3/2"], "q": ["0", "3/2"]}})
+def test_numeral_table_matches_the_per_coordinate_parser(doc):
+    """One conversion per distinct numeral string gives the same Instance,
+    or the same first error, as converting every coordinate."""
+    assert _outcome(instance_from_dict, doc) == _outcome(instance_from_dict_loop, doc)
+
+
+def test_numeral_table_lives_for_one_document():
+    wide = {"schema": 1, "bounds": ["0", "2"], "points": {"p": ["3/2", "3/2"]}}
+    assert instance_from_dict(wide).points["p"] == point("3/2", "3/2")
+    with pytest.raises(DomainError) as exc:
+        instance_from_dict({"schema": 1, "points": {"p": ["3/2", "1"]}})
     assert str(exc.value) == "points.p: value 3/2 outside bounds [0, 1]"
 
 
