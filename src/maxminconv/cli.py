@@ -193,6 +193,18 @@ def _maxt_member(q: Point, gens: Sequence[Point], tnorm: TNorm) -> bool:
     return hull_member_maxt(q, Polytope(tuple(gens)), tnorm).member
 
 
+def _witness_member(q: Point, gens: Sequence[Point], inst: Instance) -> bool:
+    """Re-check a search witness against the hull of one part.
+
+    Under min this is the sector-witness test, independent of the
+    residuation the search has just run; the other norms have only
+    residuation.
+    """
+    if inst.tnorm.is_min:
+        return hull_member(q, Polytope(tuple(gens)), inst.bounds).member
+    return _maxt_member(q, gens, inst.tnorm)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: (instance, args, verifier) -> result dict
 # ---------------------------------------------------------------------------
@@ -556,11 +568,11 @@ def _cmd_radon(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
     )
     ver.check(
         "witness in the hull of part 1",
-        _maxt_member(res.witness, [pts[i] for i in res.part1], inst.tnorm),
+        _witness_member(res.witness, [pts[i] for i in res.part1], inst),
     )
     ver.check(
         "witness in the hull of part 2",
-        _maxt_member(res.witness, [pts[i] for i in res.part2], inst.tnorm),
+        _witness_member(res.witness, [pts[i] for i in res.part2], inst),
     )
     return {
         "part1": list(res.part1),
@@ -576,7 +588,7 @@ def _cmd_helly(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
         for k, poly in enumerate(polys):
             ver.check(
                 "witness in member %d" % k,
-                _maxt_member(out.point, poly.generators, inst.tnorm),
+                _witness_member(out.point, poly.generators, inst),
             )
         return {"witness": _fmt(out.point)}
     raise Negative(
@@ -625,7 +637,7 @@ def _cmd_tverberg(inst: Instance, args: argparse.Namespace, ver: Verifier) -> di
     for k, part in enumerate(res.parts):
         ver.check(
             "witness in the hull of part %d" % k,
-            _maxt_member(res.witness, [pts[i] for i in part], inst.tnorm),
+            _witness_member(res.witness, [pts[i] for i in part], inst),
         )
     return {
         "parts": [list(part) for part in res.parts],

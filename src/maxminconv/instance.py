@@ -416,11 +416,5 @@ def loads_instance(text: str) -> Instance:
     return instance_from_dict(parse_raw(text))
 
 
-def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return loads_instance(text)
-
-
 def dumps_instance(inst: Instance) -> str:
     return json.dumps(instance_to_dict(inst), indent=2) + "\n"

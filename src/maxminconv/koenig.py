@@ -74,12 +74,6 @@ class Matrix:
         return tuple(v for row in self.rows for v in row)
 
 
-def threshold_matrix(a: Matrix, h: Fraction) -> tuple[tuple[int, ...], ...]:
-    """0/1 pattern of entries >= h."""
-    h = as_value(h)
-    return tuple(tuple(1 if v >= h else 0 for v in row) for row in a.rows)
-
-
 def _max_matching(adj: Sequence[Sequence[int]]) -> dict[int, int]:
     """Deterministic Kuhn matching; returns row -> column map.
 
@@ -136,18 +130,32 @@ def bottleneck_threshold(a: Matrix) -> Fraction:
 class KoenigDiagram:
     """Covering diagram of a matrix at its bottleneck threshold t.
 
-    ``pi`` is stored as a sorted tuple of (row, column) pairs forming a
-    bijection onto all columns; ``free_row`` is the row pi leaves out.
+    Only what the construction decides is stored: the cut's M1 and N1,
+    and ``pi`` as a sorted tuple of (row, column) pairs forming a
+    bijection onto all columns.  M2 and N2 are the ascending complements
+    of M1 and N1, and ``free_row`` is the one row pi leaves out.
     """
 
     matrix: Matrix
     t: Fraction
     m1_rows: tuple[int, ...]
-    m2_rows: tuple[int, ...]
     n1_cols: tuple[int, ...]
-    n2_cols: tuple[int, ...]
     pi: tuple[tuple[int, int], ...]
-    free_row: int
+
+    @property
+    def m2_rows(self) -> tuple[int, ...]:
+        m1 = set(self.m1_rows)
+        return tuple(r for r in range(self.matrix.nrows) if r not in m1)
+
+    @property
+    def n2_cols(self) -> tuple[int, ...]:
+        n1 = set(self.n1_cols)
+        return tuple(c for c in range(self.matrix.ncols) if c not in n1)
+
+    @property
+    def free_row(self) -> int:
+        matched = {row for row, _ in self.pi}
+        return next(r for r in range(self.matrix.nrows) if r not in matched)
 
     @property
     def pi_map(self) -> dict[int, int]:
@@ -169,9 +177,9 @@ class KoenigDiagram:
 
     @property
     def s(self) -> int:
-        m2 = set(self.m2_rows)
-        n2 = set(self.n2_cols)
-        return sum(1 for row, col in self.pi if row in m2 and col in n2)
+        m1 = set(self.m1_rows)
+        n1 = set(self.n1_cols)
+        return sum(1 for row, col in self.pi if row not in m1 and col not in n1)
 
     @property
     def tightness(self) -> int:
@@ -186,10 +194,9 @@ class KoenigDiagram:
         """Check every structural invariant; raises InvalidDiagram."""
         a = self.matrix
         d = a.ncols
-        if sorted(self.m1_rows + self.m2_rows) != list(range(d + 1)):
-            raise InvalidDiagram("rows do not partition into M1, M2")
-        if sorted(self.n1_cols + self.n2_cols) != list(range(d)):
-            raise InvalidDiagram("columns do not partition into N1, N2")
+        for name, items, size in (("M1", self.m1_rows, d + 1), ("N1", self.n1_cols, d)):
+            if len(set(items)) != len(items) or not all(0 <= i < size for i in items):
+                raise InvalidDiagram("%s is not a set of indices below %d" % (name, size))
         for row in self.m1_rows:
             for col in self.n1_cols:
                 if a.rows[row][col] > self.t:
@@ -201,13 +208,13 @@ class KoenigDiagram:
         cols = sorted(col for _, col in self.pi)
         if cols != list(range(d)):
             raise InvalidDiagram("pi is not a bijection onto the columns")
-        rows = [row for row, _ in self.pi]
-        if len(set(rows)) != d or self.free_row in rows:
-            raise InvalidDiagram("pi rows must be all rows except the free one")
+        rows = {row for row, _ in self.pi}
+        if len(rows) != d or not all(0 <= row <= d for row in rows):
+            raise InvalidDiagram("pi rows must be %d distinct rows" % d)
         for row, col in self.pi:
             if a.rows[row][col] < self.t:
                 raise InvalidDiagram("pi entry (%d, %d) below t" % (row, col))
-        if self.tightness != -(self.s + (1 if self.free_row in self.m2_rows else 0)):
+        if self.tightness != -(self.s + (0 if self.free_row in self.m1_rows else 1)):
             raise InvalidDiagram("tightness does not match its counting identity")
         if self.is_tight:
             if self.free_row not in self.m1_rows:
@@ -216,15 +223,15 @@ class KoenigDiagram:
                 raise InvalidDiagram("tight diagram with pi crossing M2 x N2")
 
 
-def _pi_at_level(a: Matrix, t: Fraction) -> tuple[int, dict[int, int]]:
-    """Smallest feasible free row and a level-t permutation of the rest."""
+def _pi_at_level(a: Matrix, t: Fraction) -> dict[int, int]:
+    """Level-t permutation of every row but the smallest feasible free one."""
     base = _level_adjacency(a, t, strict=False)
     for f in range(a.nrows):
         adj = list(base)
         adj[f] = []
         match = _max_matching(adj)
         if len(match) == a.ncols:
-            return f, match
+            return match
     raise PreconditionError("no level-%s permutation exists" % (t,))
 
 
@@ -258,184 +265,103 @@ def koenig_diagram(a: Matrix) -> KoenigDiagram:
                     reach_rows.add(owner)
                     nxt.append(owner)
         queue = sorted(nxt)
-    m1 = tuple(sorted(reach_rows))
-    m2 = tuple(sorted(set(range(a.nrows)) - reach_rows))
-    n1 = tuple(sorted(set(range(a.ncols)) - reach_cols))
-    n2 = tuple(sorted(reach_cols))
-    free_row, pi = _pi_at_level(a, t)
     diagram = KoenigDiagram(
         matrix=a,
         t=t,
-        m1_rows=m1,
-        m2_rows=m2,
-        n1_cols=n1,
-        n2_cols=n2,
-        pi=tuple(sorted(pi.items())),
-        free_row=free_row,
+        m1_rows=tuple(sorted(reach_rows)),
+        n1_cols=tuple(c for c in range(a.ncols) if c not in reach_cols),
+        pi=tuple(sorted(_pi_at_level(a, t).items())),
     )
     diagram.validate()
     return diagram
 
 
-SINK = "sink"
-LIFT = "lift"
+def _shift_along(pi: dict[int, int], rows: list[int], closed: bool) -> tuple[tuple[int, int], ...]:
+    """Hand each row's pi-column on to the next row of ``rows``.
 
-
-def _replace(d: KoenigDiagram, **kw) -> KoenigDiagram:
-    out = replace(d, **kw)
-    out.validate()
-    return out
-
-
-def _shift_along(pi: dict[int, int], traj: list[int], wrap_to: int | None) -> tuple[dict[int, int], int | None]:
-    """Hand each trajectory row's column to the next row.
-
-    With wrap_to = None the last row is the free row gaining a column and
-    traj[0] becomes free; otherwise the cycle closes by giving traj[0]'s
-    successor chain the columns and wrap_to (== traj[0]) receives the last
-    row's column.
+    A closed cycle hands the last row's column back to rows[0].  An open
+    path ends at the free row, which gains a column, and rows[0] gives
+    up its own and becomes the free row.
     """
     new_pi = dict(pi)
-    for prev, nxt in zip(traj, traj[1:]):
+    for prev, nxt in zip(rows, rows[1:]):
         new_pi[nxt] = pi[prev]
-    if wrap_to is None:
-        del new_pi[traj[0]]
-        return new_pi, traj[0]
-    new_pi[wrap_to] = pi[traj[-1]]
-    return new_pi, None
+    if closed:
+        new_pi[rows[0]] = pi[rows[-1]]
+    else:
+        del new_pi[rows[0]]
+    return tuple(sorted(new_pi.items()))
 
 
-def improve_diagram(d: KoenigDiagram) -> KoenigDiagram:
-    """One strict tightness improvement of a non-tight diagram.
-
-    Runs alternating sinking (through rows of M2 along columns of N1) and
-    lifting (through rows of M1 along columns of N2) searches.  Each
-    phase explores a tree of rows; reaching the free row or closing a
-    cycle reroutes pi, while a stuck phase re-cuts the diagram around the
-    explored block.  Every outcome raises tightness by at least one.
-    """
-    if d.is_tight:
-        raise PreconditionError("diagram is already tight")
-    a = d.matrix
-    t = d.t
-    pi = d.pi_map
-    f = d.free_row
-    m1 = set(d.m1_rows)
-    m2 = set(d.m2_rows)
-    n1 = set(d.n1_cols)
-    n2 = set(d.n2_cols)
-    all_rows = range(a.nrows)
-
-    starts = [r for r in sorted(m1) if r != f and pi.get(r) in n1]
-    if not starts:
-        raise InvalidDiagram("non-tight diagram without a pi-pair in M1 x N1")
-    traj = [starts[0]]
-    traj_pos = {starts[0]: 0}
-    mode = SINK
-
-    def append_rows(rows: list[int]) -> None:
-        for row in rows:
-            traj_pos[row] = len(traj)
-            traj.append(row)
-
-    def chain_to(parent: dict[int, int | None], row: int) -> list[int]:
-        out = [row]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])  # type: ignore[arg-type]
-        out.reverse()
-        return out  # starts at the phase root
-
-    while True:
-        root = traj[-1]
-        visited = [root]
-        visited_set = {root}
-        parent: dict[int, int | None] = {root: None}
-        outcome = None
-        while outcome is None:
-            cand = None
-            cand_parent = None
-            for row in all_rows:
-                if row in visited_set:
-                    continue
-                if mode == LIFT and row != f and row not in m1:
-                    continue
-                if mode == LIFT and row == f and f not in m1:
-                    continue
-                for v in visited:
-                    if a.rows[row][pi[v]] > t:
-                        cand = row
-                        cand_parent = v
-                        break
-                if cand is not None:
-                    break
-            if cand is None:
-                outcome = ("stuck", None)
-                break
-            if cand == f:
-                outcome = ("free", cand_parent)
-            elif cand in traj_pos:
-                outcome = ("cycle", (cand, cand_parent))
-            else:
-                landed = (pi[cand] in n2) if mode == SINK else (pi[cand] in n1)
-                if landed:
-                    outcome = ("landed", (cand, cand_parent))
-                else:
-                    visited.append(cand)
-                    visited_set.add(cand)
-                    parent[cand] = cand_parent
-
-        kind, payload = outcome
-        if kind == "landed":
-            cand, cand_parent = payload
-            chain = chain_to(parent, cand_parent) + [cand]
-            append_rows(chain[1:])
-            mode = LIFT if mode == SINK else SINK
-            continue
-        if kind == "free":
-            cand_parent = payload
-            chain = chain_to(parent, cand_parent)
-            append_rows(chain[1:])
-            new_pi, new_free = _shift_along(pi, traj + [f], wrap_to=None)
-            # the old free row takes the last column; traj[0] goes free
-            out = _replace(d, pi=tuple(sorted(new_pi.items())), free_row=new_free)
-            break
-        if kind == "cycle":
-            cand, cand_parent = payload
-            chain = chain_to(parent, cand_parent)
-            append_rows(chain[1:])
-            cycle = traj[traj_pos[cand]:]
-            new_pi, _ = _shift_along(pi, cycle, wrap_to=cand)
-            out = _replace(d, pi=tuple(sorted(new_pi.items())))
-            break
-        # stuck: re-cut the diagram around the explored block
-        if mode == SINK:
-            drop = set(visited_set) - {root}
-            cols = {pi[v] for v in visited}
-            out = _replace(
-                d,
-                m1_rows=tuple(sorted(set(all_rows) - drop)),
-                m2_rows=tuple(sorted(drop)),
-                n1_cols=tuple(sorted(cols)),
-                n2_cols=tuple(sorted(set(range(a.ncols)) - cols)),
-            )
-        else:
-            lifted = set(visited_set) - {root}
-            cols = {pi[v] for v in visited}
-            out = _replace(
-                d,
-                m1_rows=tuple(sorted(m1 - lifted)),
-                m2_rows=tuple(sorted(m2 | lifted)),
-                n1_cols=tuple(sorted(n1 | cols)),
-                n2_cols=tuple(sorted(n2 - cols)),
-            )
-        break
-
+def _raised(d: KoenigDiagram, **changes) -> KoenigDiagram:
+    """d with ``changes``, validated and strictly tighter than d."""
+    out = replace(d, **changes)
+    out.validate()
     if out.tightness <= d.tightness:
         raise InvalidDiagram(
             "improvement failed to raise tightness (%d -> %d)"
             % (d.tightness, out.tightness)
         )
     return out
+
+
+def improve_diagram(d: KoenigDiagram) -> KoenigDiagram:
+    """One strict tightness improvement of a non-tight diagram.
+
+    Alternates sinking phases (through any row along columns of N1) and
+    lifting phases (through rows of M1 along columns of N2).  Each phase
+    grows a tree from the end of the trajectory, adding the first row in
+    index order with an entry above t in the pi-column of a tree row.
+    Reaching the free row or a trajectory row reroutes pi; a row whose
+    pi-column lies across the cut extends the trajectory and flips the
+    phase; a stuck phase re-cuts M1 and N1 around its tree.  Every
+    outcome raises tightness by at least one.
+    """
+    if d.is_tight:
+        raise PreconditionError("diagram is already tight")
+    a, t, pi, f = d.matrix, d.t, d.pi_map, d.free_row
+    m1, n1 = set(d.m1_rows), set(d.n1_cols)
+    start = next((r for r in d.m1_rows if r != f and pi[r] in n1), None)
+    if start is None:
+        raise InvalidDiagram("non-tight diagram without a pi-pair in M1 x N1")
+    traj = [start]
+    sinking = True
+    parent = {start: start}  # the phase's tree, rooted at traj[-1], in joining order
+    while True:
+        hit = next(
+            (
+                (row, v)
+                for row in range(a.nrows)
+                if row not in parent and (sinking or row in m1)
+                for v in parent
+                if a.rows[row][pi[v]] > t
+            ),
+            None,
+        )
+        if hit is None:
+            cols = {pi[v] for v in parent}
+            grown = set(parent) - {traj[-1]}
+            if sinking:
+                m1, n1 = set(range(a.nrows)) - grown, cols
+            else:
+                m1, n1 = m1 - grown, n1 | cols
+            return _raised(d, m1_rows=tuple(sorted(m1)), n1_cols=tuple(sorted(n1)))
+        row, v = hit
+        if row != f and row not in traj and (pi[row] in n1) == sinking:
+            parent[row] = v
+            continue
+        chain = []
+        while parent[v] != v:
+            chain.append(v)
+            v = parent[v]
+        traj.extend(reversed(chain))
+        if row == f:
+            return _raised(d, pi=_shift_along(pi, traj + [f], closed=False))
+        if row in traj:
+            return _raised(d, pi=_shift_along(pi, traj[traj.index(row):], closed=True))
+        traj.append(row)
+        sinking = not sinking
+        parent = {row: row}
 
 
 def tight_diagram(a: Matrix) -> KoenigDiagram:
@@ -458,8 +384,7 @@ def _internal_separation_rec(a: Matrix) -> tuple[list[Fraction], dict[int, int]]
     n2 = list(diagram.n2_cols)
     n2_set = set(n2)
     sub_rows = sorted(
-        {diagram.free_row}
-        | {r for r in diagram.m1_rows if r != diagram.free_row and pi.get(r) in n2_set}
+        {diagram.free_row} | {r for r in diagram.m1_rows if pi.get(r) in n2_set}
     )
     sub = Matrix(tuple(tuple(a.rows[r][c] for c in n2) for r in sub_rows))
     z, sub_assign = _internal_separation_rec(sub)
@@ -482,6 +407,21 @@ def _internal_separation_rec(a: Matrix) -> tuple[list[Fraction], dict[int, int]]
     return coords, assign  # type: ignore[return-value]
 
 
+def _certified(
+    points: Sequence[Point], p: Point, assign: dict[int, int], bounds: SemiringBounds
+) -> tuple[Point, dict[int, int]]:
+    """(p, assign) once assign is a bijection row -> sector and every row
+    lies in its sector of p; raises InvalidDiagram otherwise."""
+    if sorted(assign.values()) != list(range(len(points))):
+        raise InvalidDiagram("internal separation assignment is not a bijection")
+    for row, sector in assign.items():
+        if not sector_contains(semispace(p, sector, bounds), points[row]):
+            raise InvalidDiagram(
+                "row %d escaped its sector %d at %s" % (row, sector, p)
+            )
+    return p, assign
+
+
 def internal_separation(points: Sequence[Point], bounds: SemiringBounds = UNIT) -> tuple[Point, dict[int, int]]:
     """Point p in the hull of d + 1 points, certified sector by sector.
 
@@ -499,15 +439,7 @@ def internal_separation(points: Sequence[Point], bounds: SemiringBounds = UNIT) 
                     "rerun with bounds.extended()" % (r, c, bounds)
                 )
     coords, assign = _internal_separation_rec(a)
-    p = Point(tuple(coords))
-    if sorted(assign.values()) != list(range(a.ncols + 1)):
-        raise InvalidDiagram("internal separation assignment is not a bijection")
-    for row, sector in assign.items():
-        if not sector_contains(semispace(p, sector, bounds), points[row]):
-            raise InvalidDiagram(
-                "row %d escaped its sector %d at %s" % (row, sector, p)
-            )
-    return p, assign
+    return _certified(points, Point(tuple(coords)), assign, bounds)
 
 
 def intsep_sorted(points: Sequence[Point], bounds: SemiringBounds = UNIT) -> tuple[Point, dict[int, int]]:
@@ -545,11 +477,5 @@ def intsep_sorted(points: Sequence[Point], bounds: SemiringBounds = UNIT) -> tup
     for v in y:
         running = v if running is None else min(running, v)
         coords.append(running)
-    p = Point(tuple(coords))
     assign = {order[pos]: pos for pos in range(d + 1)}
-    for row, sector in assign.items():
-        if not sector_contains(semispace(p, sector, bounds), points[row]):
-            raise InvalidDiagram(
-                "sorted separation: row %d escaped sector %d at %s" % (row, sector, p)
-            )
-    return p, assign
+    return _certified(points, Point(tuple(coords)), assign, bounds)

@@ -78,7 +78,7 @@ def semispace(p: Point, index: int, bounds: SemiringBounds = UNIT) -> SemispaceI
 
 def semispace_family(p: Point, bounds: SemiringBounds = UNIT) -> tuple[SemispaceId, ...]:
     """All semispaces at p, one per index in I(p)."""
-    return tuple(semispace(p, i, bounds) for i in index_set(p, bounds))
+    return tuple(SemispaceId(anchor=p, index=i) for i in index_set(p, bounds))
 
 
 def semispace_contains(s: SemispaceId, q: Point) -> bool:

@@ -315,6 +315,40 @@ def test_centerpoint_rechecks_every_subset_hull(capsys, intervals_path, monkeypa
     assert doc["verification"]["checks"] == [{"name": name, "passed": False}]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("radon", "--pointset", "radon"), ("helly", "--family", "good"),
+     ("tverberg", "--pointset", "seven", "--r", "3")],
+    ids=lambda argv: argv[0],
+)
+def test_min_witnesses_are_rechecked_by_sectors(capsys, tmp_path, monkeypatch, argv):
+    """Under min a witness outside the hulls fails its re-check.
+
+    The search is patched to return (0.99, 0.99), outside every hull below,
+    and residuation to accept any point, so only the sector-witness test
+    can refuse the witness.
+    """
+    from maxminconv import maxt
+    from maxminconv.geometry import point
+
+    doc = dict(BASE, pointsets={
+        "radon": [["0.1", "0.9"], ["0.9", "0.1"], ["0.5", "0.5"], ["0.2", "0.2"]],
+        "seven": [["0.1", "0.9"], ["0.9", "0.1"], ["0.5", "0.5"], ["0.2", "0.2"],
+                  ["0.3", "0.6"], ["0.6", "0.3"], ["0.4", "0.4"]],
+    })
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(maxt, "_lex_first", lambda search, groups, rank=1: point("0.99", "0.99"))
+    monkeypatch.setattr(
+        maxt, "_principal", lambda p, gens, tnorm: ((tnorm.bounds.hi,) * len(gens), p)
+    )
+    code, out, _ = run_json(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out["status"] == "verification-failed"
+    assert out["result"]["witness"] == ["99/100", "99/100"]
+    assert not out["verification"]["passed"]
+
+
 def test_tverberg(capsys, intervals_path):
     code, doc, _ = run_json(
         capsys, "tverberg", intervals_path, "--pointset", "five", "--r", "3"

@@ -1,6 +1,7 @@
-"""Threshold matrices, covering diagrams, and internal separation points."""
+"""Bottleneck thresholds, covering diagrams, and internal separation points."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,12 @@ from maxminconv.geometry import Point, point
 from maxminconv.hull import Polytope, hull_member
 from maxminconv.koenig import (
     InvalidDiagram,
-    KoenigDiagram,
     Matrix,
     bottleneck_threshold,
     improve_diagram,
     internal_separation,
     intsep_sorted,
     koenig_diagram,
-    threshold_matrix,
     tight_diagram,
 )
 from maxminconv.oracle import brute_bottleneck
@@ -56,15 +55,6 @@ def test_matrix_shape_enforced():
 def test_matrix_from_points():
     m = Matrix.from_points([point("0.9", "0.1"), point("0.8", "0.3"), point("0.5", "0.4")])
     assert m == A_EXAMPLE
-
-
-def test_threshold_matrix_extremes():
-    assert threshold_matrix(A_EXAMPLE, Fraction(0)) == ((1, 1), (1, 1), (1, 1))
-    assert threshold_matrix(A_EXAMPLE, Fraction(91, 100)) == ((0, 0), (0, 0), (0, 0))
-
-
-def test_threshold_matrix_example():
-    assert threshold_matrix(A_EXAMPLE, Fraction(4, 10)) == ((1, 0), (1, 0), (1, 1))
 
 
 def test_bottleneck_example():
@@ -142,36 +132,37 @@ def test_improve_rejects_tight_input():
 
 
 def test_tight_diagram_random_matrices():
+    def check(kd, d):
+        kd.validate()
+        assert kd.m2_rows == tuple(r for r in range(d + 1) if r not in kd.m1_rows)
+        assert kd.n2_cols == tuple(c for c in range(d) if c not in kd.n1_cols)
+        assert [kd.free_row] == [r for r in range(d + 1) if r not in kd.pi_map]
+
     rng = random.Random(11)
     for _ in range(150):
         d = rng.randrange(1, 5)
         m = random_matrix(rng, d, den=4)
         kd = koenig_diagram(m)
-        kd.validate()
+        check(kd, d)
         while not kd.is_tight:
             nxt = improve_diagram(kd)
-            nxt.validate()
+            check(nxt, d)
             assert nxt.tightness > kd.tightness
             kd = nxt
         final = tight_diagram(m)
-        final.validate()
+        check(final, d)
         assert final.is_tight
 
 
 def test_validate_catches_corruption():
     kd = koenig_diagram(A_EXAMPLE)
-    broken = KoenigDiagram(
-        matrix=kd.matrix,
-        t=kd.t,
-        m1_rows=kd.m1_rows,
-        m2_rows=kd.m2_rows,
-        n1_cols=kd.n1_cols,
-        n2_cols=kd.n2_cols,
-        pi=kd.pi,
-        free_row=kd.pi[0][0],  # free row colliding with a matched row
-    )
-    with pytest.raises(InvalidDiagram):
-        broken.validate()
+    assert kd.pi == ((1, 0), (2, 1)) and kd.t == Fraction(2, 5)
+    # row 2 holds both columns, each at or above t
+    with pytest.raises(InvalidDiagram, match="distinct rows"):
+        replace(kd, pi=((2, 0), (2, 1))).validate()
+    # entry (0, 1) is 1/10, below t
+    with pytest.raises(InvalidDiagram, match="below t"):
+        replace(kd, pi=((0, 1), (2, 0))).validate()
 
 
 # ---------------------------------------------------------------------------
