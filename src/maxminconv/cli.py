@@ -820,7 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("radon", _cmd_radon, "two disjoint parts with intersecting hulls")
     sp.add_argument("--pointset")
 
-    sp = add("helly", _cmd_helly, "check d+1-wise intersections, then find a common point")
+    sp = add("helly", _cmd_helly, "find a common point of the family; "
+             "on a miss, name the first (d+1)-subfamily without one")
     sp.add_argument("--family")
 
     sp = add("centerpoint", _cmd_centerpoint, "point in every large subset's hull")

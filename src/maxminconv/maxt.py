@@ -390,13 +390,16 @@ def helly_check(
     tnorm: TNorm = MIN,
     grid_step: Fraction | None = None,
 ) -> CommonWitness | CounterexampleSubfamily:
-    """Test the d+1 intersection hypothesis, then produce a common point.
+    """Common point of the family, or the first (d+1)-subfamily without one.
 
-    Searches every subfamily of size min(d+1, len(family)) for a common
-    grid point; the first one without any is returned as a
-    counterexample to the hypothesis.  When all of them intersect, the
-    whole family is guaranteed to as well, and the witness found by the
-    family-wide search is returned.
+    The whole family is searched first.  All searches of one question run
+    on the same grid, so a family-wide hit is a common grid point of every
+    subfamily as well, and it is the witness a subfamily-first order would
+    return.  Only on a miss are the subfamilies of size min(d+1,
+    len(family)) searched, in ``itertools.combinations`` order; the first
+    one without a common grid point is the counterexample to the d+1
+    intersection hypothesis.  When all of them meet, the grid is too
+    coarse for the family (``_miss``).
     """
     polys = list(family)
     if not polys:
@@ -407,16 +410,17 @@ def helly_check(
     search = _search(all_points, tnorm, grid_step)
     ends = itertools.accumulate(len(poly) for poly in polys)
     members = [range(end - len(poly), end) for poly, end in zip(polys, ends)]
+    witness = _common_point(search, members)
+    if witness is not None:
+        return CommonWitness(point=witness)
     k = min(d + 1, len(polys))
     for subset in itertools.combinations(range(len(polys)), k):
-        if _common_point(search, [members[i] for i in subset]) is None:
+        # with k == len(polys) the one subset is the family just searched
+        if k == len(polys) or _common_point(search, [members[i] for i in subset]) is None:
             return CounterexampleSubfamily(
                 indices=subset, grid_step=search.step, grid_size=len(search.levels)
             )
-    witness = _common_point(search, members)
-    if witness is None:
-        raise _miss(search, "family-wide witness")
-    return CommonWitness(point=witness)
+    raise _miss(search, "family-wide witness")
 
 
 def _attainment_counts(p: Point, points: Sequence[Point], tnorm: TNorm) -> tuple[int, ...]:

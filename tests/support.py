@@ -34,7 +34,16 @@ from maxminconv.instance import (
 from maxminconv.koenig import Matrix
 from maxminconv.semispaces import Hyperplane
 from maxminconv.separation import Box
-from maxminconv.maxt import DEFAULT_STEP, _common_point, _member_exact, _search
+from maxminconv.maxt import (
+    DEFAULT_STEP,
+    CommonWitness,
+    CounterexampleSubfamily,
+    _common_point,
+    _member_exact,
+    _miss,
+    _search,
+    _validate,
+)
 
 
 def rational(rng: random.Random, den: int = 8) -> Fraction:
@@ -95,6 +104,34 @@ def search_common_point(groups, tnorm, grid_step=None):
     indices = [tuple(range(end - len(g), end)) for g, end in zip(groups, ends)]
     grid = tuple(Fraction(level, search.denom) for level in search.levels)
     return _common_point(search, indices), grid
+
+
+def helly_check_subfamilies_first(family, tnorm, grid_step=None):
+    """``maxt.helly_check`` in the subfamily-first order.
+
+    The reference for the family-wide search first: every subfamily of
+    size min(d+1, len(family)) is searched before the whole family, and
+    the first one without a common grid point is the counterexample.
+    """
+    polys = list(family)
+    if not polys:
+        raise PreconditionError("empty family")
+    all_points = [p for poly in polys for p in poly.generators]
+    _validate(all_points, tnorm)
+    d = all_points[0].dim
+    search = _search(all_points, tnorm, grid_step)
+    ends = itertools.accumulate(len(poly) for poly in polys)
+    members = [range(end - len(poly), end) for poly, end in zip(polys, ends)]
+    k = min(d + 1, len(polys))
+    for subset in itertools.combinations(range(len(polys)), k):
+        if _common_point(search, [members[i] for i in subset]) is None:
+            return CounterexampleSubfamily(
+                indices=subset, grid_step=search.step, grid_size=len(search.levels)
+            )
+    witness = _common_point(search, members)
+    if witness is None:
+        raise _miss(search, "family-wide witness")
+    return CommonWitness(point=witness)
 
 
 def common_point_exact(groups, tnorm, grid):

@@ -34,6 +34,7 @@ from maxminconv.maxt import (
 
 from support import (
     common_point_exact,
+    helly_check_subfamilies_first,
     planted_join_instance,
     random_point,
     random_polytope,
@@ -286,6 +287,67 @@ def test_helly_singleton_family():
     fam = [polytope([("0.3", "0.4")])]
     res = helly_check(fam)
     assert res.point == point("0.3", "0.4")
+
+
+@st.composite
+def _helly_families(draw):
+    """A norm, a step and a family of d = 1-4 with 1 to d + 3 members.
+
+    Planted positives share a core point.  Negatives keep two members
+    apart in coordinate 0, one below 1/2 and one above it, and give every
+    other member a point of each side, so exactly the subfamilies that
+    hold both fail.  Random families mix the two outcomes.
+    """
+    tnorm = draw(st.sampled_from(ALL_TNORMS))
+    step = draw(st.sampled_from([None, Fraction(1, 20)]))
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, d + 3))
+    q = draw(st.sampled_from([4, 7, 8]))
+
+    def value(lo=0, hi=q):
+        return Fraction(draw(st.integers(lo, hi)), q)
+
+    def pt(first=None):
+        rest = tuple(value() for _ in range(d - 1))
+        return Point((value() if first is None else first,) + rest)
+
+    def extra():
+        return [pt() for _ in range(draw(st.integers(0, 2)))]
+
+    kind = draw(st.sampled_from(["planted", "random"] + ["negative"] * (m > 1)))
+    if kind == "planted":
+        core = pt()
+        return tnorm, step, [Polytope(tuple([core] + extra())) for _ in range(m)]
+    if kind == "random":
+        return tnorm, step, [Polytope(tuple([pt()] + extra())) for _ in range(m)]
+    half = q // 2
+
+    def low():
+        return pt(value(0, half - 1))
+
+    def high():
+        return pt(value(half + 1, q))
+
+    family = [Polytope(tuple([low(), high()] + extra())) for _ in range(m)]
+    apart = draw(st.permutations(range(m)))[:2]
+    family[apart[0]] = Polytope((low(), low()))
+    family[apart[1]] = Polytope((high(),))
+    return tnorm, step, family
+
+
+@settings(max_examples=200, deadline=None)
+@given(_helly_families())
+def test_helly_family_first_matches_the_subfamilies_first_order(instance):
+    """Searching the whole family first changes no answer and no error text."""
+    tnorm, step, family = instance
+
+    def outcome(check):
+        try:
+            return check(family, tnorm, step)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(helly_check) == outcome(helly_check_subfamilies_first)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +675,23 @@ def test_every_witness_question_is_encoded_once(rng, monkeypatch):
 
     family = [polytope([("0", "0"), ("1", "1")]), polytope([("0", "1"), ("1", "0")])]
     assert asked(lambda: helly_check(family))[0] == 1
+    # the family-wide search first: a planted positive with m = d + 2
+    # members takes that one search, and a miss with m <= d + 1 is its
+    # own counterexample
+    core = point("0.5", "0.5")
+    family = [Polytope((core, random_point(rng, 2))) for _ in range(4)]
+    assert asked(lambda: helly_check(family)) == (1, 1)
+    low, high = polytope([("0.1", "0.1")]), polytope([("0.9", "0.9")])
+    assert asked(lambda: helly_check([low, high])) == (1, 1)
+    assert helly_check([low, high]).indices == (0, 1)
+    # m = 4 > d + 1 = 3 with low and high apart: the family, then each
+    # subfamily up to the first that holds both
+    both = polytope([("0.1", "0.1"), ("0.9", "0.9")])
+    for family, first_miss in (([both, low, high, both], (0, 1, 2)),
+                               ([both, low, both, high], (0, 1, 3))):
+        tried = list(itertools.combinations(range(4), 3)).index(first_miss) + 1
+        assert asked(lambda: helly_check(family)) == (1, 1 + tried)
+        assert helly_check(family).indices == first_miss
     assert asked(lambda: centerpoint([random_point(rng, 2) for _ in range(5)]))[0] == 1
 
     q = random_point(rng, 2)

@@ -11,7 +11,8 @@ checkouts answer alike when their totals are equal::
     python3 tools/answers.py --root ../parent     # another checkout's src/
 
 Only the program under ``--root`` changes between the two runs; the
-suites are the same.
+suites are the same.  With ``--expect HEX`` it exits 1, printing both
+hashes, when the total is not HEX.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def main() -> int:
     ap.add_argument("--root", type=Path, default=CHECKOUT,
                     help="checkout whose src/maxminconv answers (default: this one)")
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
+    ap.add_argument("--expect", metavar="HEX",
+                    help="exit 1 unless the total equals HEX")
     args = ap.parse_args()
 
     src = (args.root / "src").resolve()
@@ -69,6 +72,9 @@ def main() -> int:
                 total.update(line.encode())
                 print(line)
     print("total", total.hexdigest())
+    if args.expect is not None and total.hexdigest() != args.expect:
+        print("error: total %s, expected %s" % (total.hexdigest(), args.expect), file=sys.stderr)
+        return 1
     return 0
 
 
