@@ -35,13 +35,10 @@ class Polytope:
         d = gens[0].dim
         if any(g.dim != d for g in gens):
             raise PreconditionError("generators have mixed dimensions")
-        seen = set()
-        unique = []
+        unique = {}
         for g in gens:
-            if g.coords not in seen:
-                seen.add(g.coords)
-                unique.append(g)
-        object.__setattr__(self, "generators", tuple(unique))
+            unique.setdefault(g.coords, g)
+        object.__setattr__(self, "generators", tuple(unique.values()))
 
     @property
     def dim(self) -> int:

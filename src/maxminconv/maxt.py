@@ -320,6 +320,12 @@ def _lex_first(
     return Point(tuple(Fraction(e, search.denom) for e in y[1:]))
 
 
+def _boxes_apart(groups: Sequence[Sequence[Encoded]]) -> bool:
+    """Whether, in some coordinate, the groups' [min, max] ranges share no value."""
+    columns = [list(zip(*g)) for g in groups]
+    return any(max(map(min, c)) > min(map(max, c)) for c in zip(*columns))
+
+
 def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> Point | None:
     """Lex-first grid point lying in the hull of every group, or None.
 
@@ -327,8 +333,20 @@ def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> Point | N
     for every norm: floored cyclic projections onto the homogenized
     hulls (``_lex_first``).  Any hit is re-verified with exact rational
     arithmetic before it is returned.
+
+    With three or more groups a box test comes first.  A max-T
+    combination with a unit coefficient lies in the coordinatewise
+    [min, max] box of its generators, as T(hi, x) = x and T(lam, x) <= x.
+    So when, in some coordinate, the largest group minimum exceeds the
+    smallest group maximum, the hulls share no point at all and the
+    search would miss: None is returned without it.  Two groups skip the
+    test: their alternating projections already end a box-disjoint
+    search within three projections, so it would only add work.
     """
-    q = _lex_first(search, [[search.gens[i] for i in g] for g in groups])
+    gens = [[search.gens[i] for i in g] for g in groups]
+    if len(gens) > 2 and _boxes_apart(gens):
+        return None
+    q = _lex_first(search, gens)
     if q is None:
         return None
     for g in groups:

@@ -39,6 +39,7 @@ from maxminconv.maxt import (
     CommonWitness,
     CounterexampleSubfamily,
     _common_point,
+    _lex_first,
     _member_exact,
     _miss,
     _search,
@@ -92,18 +93,52 @@ def planted_join_instance(rng: random.Random, d: int, den: int = 10) -> list[Poi
     return pts
 
 
-def search_common_point(groups, tnorm, grid_step=None):
-    """``maxt._common_point`` on groups of points, and the grid it searched.
+def search_groups(groups, tnorm, grid_step=None):
+    """One search over the points of every group, and each group's indices.
 
-    Builds one search over the points of every group, as the witness
-    searches do, and passes each group as the tuple of its indices.  The
-    grid is read back from the search's levels over its denominator.
+    The search is built as the witness searches build theirs, and each
+    group becomes the tuple of its points' indices in it.
     """
     search = _search([q for g in groups for q in g], tnorm, grid_step)
     ends = itertools.accumulate(len(g) for g in groups)
-    indices = [tuple(range(end - len(g), end)) for g, end in zip(groups, ends)]
+    return search, [tuple(range(end - len(g), end)) for g, end in zip(groups, ends)]
+
+
+def search_common_point(groups, tnorm, grid_step=None):
+    """``maxt._common_point`` on groups of points, and the grid it searched.
+
+    The grid is read back from the search's levels over its denominator.
+    """
+    search, indices = search_groups(groups, tnorm, grid_step)
     grid = tuple(Fraction(level, search.denom) for level in search.levels)
     return _common_point(search, indices), grid
+
+
+def common_point_unfiltered(search, groups):
+    """``maxt._common_point`` without its box test.
+
+    The reference for the box test: every set of groups, box-disjoint or
+    not, is searched by ``_lex_first``, and a hit is re-verified exactly.
+    """
+    q = _lex_first(search, [[search.gens[i] for i in g] for g in groups])
+    if q is None:
+        return None
+    for g in groups:
+        if not _member_exact(q, [search.points[i] for i in g], search.tnorm):
+            raise AssertionError("search witness failed exact re-verification")
+    return q
+
+
+def boxes_apart(groups):
+    """Whether, in some coordinate, the groups of points have disjoint [min, max] ranges.
+
+    Decided on the Fraction coordinates: the largest group minimum
+    exceeds the smallest group maximum.
+    """
+    return any(
+        max(min(p[j] for p in g) for g in groups) > min(max(p[j] for p in g) for g in groups)
+        for j in range(groups[0][0].dim)
+    )
 
 
 def helly_check_subfamilies_first(family, tnorm, grid_step=None):

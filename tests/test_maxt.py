@@ -22,6 +22,8 @@ from maxminconv.hull import Polytope, hull_member, polytope
 from maxminconv.maxt import (
     CommonWitness,
     CounterexampleSubfamily,
+    _common_point,
+    _lex_first,
     _member_exact,
     _search,
     attainment_counts,
@@ -33,13 +35,16 @@ from maxminconv.maxt import (
 )
 
 from support import (
+    boxes_apart,
     common_point_exact,
+    common_point_unfiltered,
     helly_check_subfamilies_first,
     planted_join_instance,
     random_point,
     random_polytope,
     search_common_point,
     search_encoding_loop,
+    search_groups,
 )
 
 ALL_TNORMS = (MIN, PRODUCT, LUKASIEWICZ)
@@ -536,6 +541,91 @@ def test_tverberg_wrong_cardinality():
         tverberg_search([point("0.1"), point("0.5"), point("0.9")], 3)
     with pytest.raises(PreconditionError):
         tverberg_search([point("0.1")] * 5, 1)
+
+
+# ---------------------------------------------------------------------------
+# the box test of _common_point
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _group_sets(draw):
+    """A norm and 2-4 groups of 1-3 points of d = 1-3 on 1/8.
+
+    Half the draws pull two groups apart in one coordinate j: one keeps
+    coordinate j at most t/8, the other above it.
+    """
+    tnorm = draw(st.sampled_from(ALL_TNORMS))
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(2, 4))
+
+    def value(lo=0, hi=8):
+        return Fraction(draw(st.integers(lo, hi)), 8)
+
+    groups = [
+        [Point(tuple(value() for _ in range(d))) for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(r)
+    ]
+    if draw(st.booleans()):
+        j, t = draw(st.integers(0, d - 1)), draw(st.integers(0, 7))
+        low, high = draw(st.permutations(range(r)))[:2]
+
+        def put(p, v):
+            return Point(p.coords[:j] + (v,) + p.coords[j + 1:])
+
+        groups[low] = [put(p, value(0, t)) for p in groups[low]]
+        groups[high] = [put(p, value(t + 1, 8)) for p in groups[high]]
+    return tnorm, groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(_group_sets())
+def test_box_test_only_skips_searches_that_miss(instance):
+    """The box test changes no answer, and every box-disjoint search misses."""
+    tnorm, groups = instance
+    search, indices = search_groups(groups, tnorm)
+    assert _common_point(search, indices) == common_point_unfiltered(search, indices)
+    if boxes_apart(groups):
+        assert _lex_first(search, [[search.gens[i] for i in g] for g in indices]) is None
+
+
+def test_box_test_runs_only_with_three_or_more_groups(rng, monkeypatch):
+    """Tverberg with r = 3 skips searches; Radon and meeting points never do."""
+    from maxminconv import maxt
+    from maxminconv.hull import colorful_strong
+
+    calls = {"common": 0, "lex": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(maxt, "_common_point", counted("common", maxt._common_point))
+    monkeypatch.setattr(maxt, "_lex_first", counted("lex", maxt._lex_first))
+
+    def asked(question):
+        calls.update(common=0, lex=0)
+        answer = question()
+        return answer, calls["common"], calls["lex"]
+
+    _, common, lex = asked(lambda: radon_partition([random_point(rng, 3) for _ in range(5)]))
+    assert lex == common > 1
+    q = random_point(rng, 2)
+    c = Polytope((q, random_point(rng, 2)))
+    colors = [Polytope((q, random_point(rng, 2))) for _ in range(3)]
+    _, common, lex = asked(lambda: colorful_strong(c, colors))
+    assert lex == common == 3
+
+    pts = [point(*q) for q in [("0.1", "0.8"), ("0.3", "0.2"), ("0.5", "0.9"), ("0.7", "0.4"),
+                               ("0.9", "0.6"), ("0.2", "0.5"), ("0.6", "0.1")]]
+    tv, common, lex = asked(lambda: tverberg_search(pts, 3))
+    assert lex < common
+    # without the box test: the same partition, after one search per call
+    monkeypatch.setattr(maxt, "_boxes_apart", lambda groups: False)
+    assert asked(lambda: tverberg_search(pts, 3)) == (tv, common, common)
 
 
 def test_witness_searches_run_without_the_grid_scan(rng, monkeypatch):
