@@ -50,7 +50,6 @@ from .hull import (
     caratheodory_reduce,
     colorful_strong,
     colorful_weak,
-    combination,
     hull_member,
 )
 from .instance import Instance, instance_from_dict, parse_raw
@@ -65,7 +64,6 @@ from .koenig import (
 from .maxt import (
     CommonWitness,
     NotFound,
-    attainment_counts,
     centerpoint,
     helly_check,
     hull_member_maxt,
@@ -85,6 +83,7 @@ from .semispaces import (
     index_set,
     sector_contains,
     sector_contains_box,
+    sector_test,
     semispace,
     semispace_contains,
     semispace_family,
@@ -193,16 +192,47 @@ def _maxt_member(q: Point, gens: Sequence[Point], tnorm: TNorm) -> bool:
     return hull_member_maxt(q, Polytope(tuple(gens)), tnorm).member
 
 
-def _witness_member(q: Point, gens: Sequence[Point], inst: Instance) -> bool:
+def _certified(
+    q: Point, gens: Sequence[Point], lams: Sequence[Fraction], tnorm: TNorm, depth: int = 1
+) -> bool:
+    """Whether the coefficients lams certify q, by forward evaluation.
+
+    They must be one per generator, each inside the bounds, and every
+    term T(lam_i, x_ij) must be at most q_j.  Then a subset of the
+    generators holds q in its hull when it meets the attainment sets
+    A_0 = {i : lam_i = hi} and A_j = {i : T(lam_i, x_ij) = q_j}: its
+    combination with these coefficients has a unit coefficient and
+    reaches q_j in every coordinate.  With every set holding at least
+    ``depth`` generators, q lies in the hull of every subset that leaves
+    out fewer than ``depth`` of them; depth 1 is the hull of gens.  No
+    residual is computed, so a wrong coefficient can fail the check but
+    never pass it.
+    """
+    bounds = tnorm.bounds
+    if len(lams) != len(gens) or not all(bounds.contains(lam) for lam in lams):
+        return False
+    if sum(lam == bounds.hi for lam in lams) < depth:
+        return False
+    for j, target in enumerate(q):
+        terms = [tnorm.apply(lam, g[j]) for lam, g in zip(lams, gens)]
+        if max(terms) > target or terms.count(target) < depth:
+            return False
+    return True
+
+
+def _witness_member(
+    q: Point, gens: Sequence[Point], lams: Sequence[Fraction], inst: Instance
+) -> bool:
     """Re-check a search witness against the hull of one part.
 
-    Under min this is the sector-witness test, independent of the
-    residuation the search has just run; the other norms have only
-    residuation.
+    Under min this is the sector-witness test; under the other norms it
+    is the forward check of the part's principal coefficients, which the
+    search returned with the witness.  Neither runs the residuation the
+    search has just run.
     """
     if inst.tnorm.is_min:
         return hull_member(q, Polytope(tuple(gens)), inst.bounds).member
-    return _maxt_member(q, gens, inst.tnorm)
+    return _certified(q, gens, lams, inst.tnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +366,7 @@ def _cmd_hull_member(inst: Instance, args: argparse.Namespace, ver: Verifier) ->
         }
     res2 = hull_member_maxt(p, c, inst.tnorm)
     # re-derive membership from the printed certificate alone
-    certified = (
-        combination(c.generators, res2.coefficients, inst.tnorm) == p
-        and max(res2.coefficients) == inst.tnorm.bounds.hi
-    )
+    certified = _certified(p, c.generators, res2.coefficients, inst.tnorm)
     ver.check("membership reproducible", certified == res2.member)
     return {
         "member": res2.member,
@@ -566,14 +593,11 @@ def _cmd_radon(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
         "parts are disjoint and cover the set",
         sorted(res.part1 + res.part2) == list(range(len(pts))),
     )
-    ver.check(
-        "witness in the hull of part 1",
-        _witness_member(res.witness, [pts[i] for i in res.part1], inst),
-    )
-    ver.check(
-        "witness in the hull of part 2",
-        _witness_member(res.witness, [pts[i] for i in res.part2], inst),
-    )
+    for k, (part, lams) in enumerate(zip((res.part1, res.part2), res.coefficients), start=1):
+        ver.check(
+            "witness in the hull of part %d" % k,
+            _witness_member(res.witness, [pts[i] for i in part], lams, inst),
+        )
     return {
         "part1": list(res.part1),
         "part2": list(res.part2),
@@ -585,10 +609,10 @@ def _cmd_helly(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
     polys = inst.family_polytopes(args.family)
     out = helly_check(polys, inst.tnorm, inst.grid_step)
     if isinstance(out, CommonWitness):
-        for k, poly in enumerate(polys):
+        for k, (poly, lams) in enumerate(zip(polys, out.coefficients)):
             ver.check(
                 "witness in member %d" % k,
-                _witness_member(out.point, poly.generators, inst),
+                _witness_member(out.point, poly.generators, lams, inst),
             )
         return {"witness": _fmt(out.point)}
     raise Negative(
@@ -606,24 +630,22 @@ def _cmd_centerpoint(inst: Instance, args: argparse.Namespace, ver: Verifier) ->
     d = pts[0].dim
     n = len(pts)
     m0 = (d * n) // (d + 1) + 1
-    # res lies in every m0-subset hull exactly when no m0-subset misses a
-    # certificate set, that is when each set holds n - m0 + 1 points.
-    # Under min the sets are the valid sectors of res (the sector-witness
-    # test, independent of the search's residuation); otherwise they are
-    # the attainment sets of its principal coefficients.
+    # the point lies in every m0-subset hull exactly when no m0-subset
+    # misses a certificate set, that is when each set holds n - m0 + 1
+    # points.  Under min the sets are the valid sectors of the point (the
+    # sector-witness test); otherwise they are the attainment sets of the
+    # principal coefficients returned with it, evaluated forward.
     if inst.tnorm.is_min:
-        counts = [
-            sum(sector_contains(s, x) for x in pts)
-            for s in semispace_family(res, inst.bounds)
-        ]
+        sectors = semispace_family(res.point, inst.bounds)
+        inside = min(sum(map(sector_test(s), pts)) for s in sectors) >= n - m0 + 1
     else:
-        counts = attainment_counts(res, pts, inst.tnorm)
+        inside = _certified(res.point, pts, res.coefficients, inst.tnorm, depth=n - m0 + 1)
     ver.check(
         "inside the hull of every %d-subset (all %d of them)"
         % (m0, math.comb(n, m0)),
-        min(counts) >= n - m0 + 1,
+        inside,
     )
-    return {"centerpoint": _fmt(res), "subset_size": m0}
+    return {"centerpoint": _fmt(res.point), "subset_size": m0}
 
 
 def _cmd_tverberg(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
@@ -634,10 +656,10 @@ def _cmd_tverberg(inst: Instance, args: argparse.Namespace, ver: Verifier) -> di
         sorted(i for part in res.parts for i in part) == list(range(len(pts)))
         and all(res.parts),
     )
-    for k, part in enumerate(res.parts):
+    for k, (part, lams) in enumerate(zip(res.parts, res.coefficients)):
         ver.check(
             "witness in the hull of part %d" % k,
-            _witness_member(res.witness, [pts[i] for i in part], inst),
+            _witness_member(res.witness, [pts[i] for i in part], lams, inst),
         )
     return {
         "parts": [list(part) for part in res.parts],

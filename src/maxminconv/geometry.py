@@ -37,7 +37,11 @@ class Point:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(as_value(c) for c in self.coords))
+        # a tuple of Fractions (every point the package builds, instance
+        # files included) is kept as it is; anything else is coerced
+        coords = self.coords
+        if type(coords) is not tuple or not all(type(c) is Fraction for c in coords):
+            object.__setattr__(self, "coords", tuple(as_value(c) for c in coords))
         if not self.coords:
             raise ValueError("points need at least one coordinate")
 

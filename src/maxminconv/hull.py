@@ -13,9 +13,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import PreconditionError, SemiringBounds, TNorm, MIN, UNIT, tnorm_apply
-from .geometry import Point, _check_bounds
+from .geometry import Point, _check_bounds, _check_same_dim
 from .koenig import internal_separation
-from .semispaces import SemispaceId, index_set, sector_contains, semispace
+from .semispaces import SemispaceId, _index_set, index_set, sector_test, semispace
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,9 @@ class HullMembership:
 
 def _first_in_sector(s: SemispaceId, x: Polytope) -> int | None:
     """Index of the first generator of x inside the sector of s, None if none is."""
-    return next((k for k, g in enumerate(x) if sector_contains(s, g)), None)
+    _check_same_dim(s.anchor, x.generators[0])
+    inside = sector_test(s)
+    return next((k for k, g in enumerate(x) if inside(g)), None)
 
 
 def hull_member(p: Point, x: Polytope, bounds: SemiringBounds = UNIT) -> HullMembership:
@@ -100,7 +102,7 @@ def hull_member(p: Point, x: Polytope, bounds: SemiringBounds = UNIT) -> HullMem
     for g in x:
         _check_bounds(g, bounds)
     witnesses: dict[int, int] = {}
-    for i in index_set(p, bounds):
+    for i in _index_set(p, bounds):
         hit = _first_in_sector(SemispaceId(p, i), x)
         if hit is None:
             return HullMembership(member=False, separating_index=i)
@@ -190,7 +192,8 @@ def _find_meeting_point(c: Polytope, cls: Polytope, bounds: SemiringBounds) -> P
 
     search = _search(c.generators + cls.generators, TNorm("min", bounds), None)
     n = len(c)
-    return _common_point(search, (range(n), range(n, n + len(cls))))
+    hit = _common_point(search, (range(n), range(n, n + len(cls))))
+    return None if hit is None else hit.point
 
 
 def colorful_strong(

@@ -19,7 +19,7 @@ Lukasiewicz norms generate values off that grid; their searches floor
 each projection onto a grid refined by a uniform rational step (default
 1/100) and report a miss as ResolutionExhausted, naming that grid,
 instead of claiming emptiness.  Each question is encoded once: one
-search context holds its points and every value, the grid's included,
+search context holds every value of its points, the grid's included,
 as an integer numerator over the grid's common denominator, for every
 norm, and the groups it searches are tuples of point indices.  The grid
 itself is built as those integers (``core.grid_levels``), the multiples
@@ -34,10 +34,13 @@ the q-th largest term with q = n - m0 + 1: a max-min Tukey depth (Tukey,
 projection gives the same lex-first witness as the search over every
 subset, in time polynomial in n.
 
-Positive results never rely on the search alone: every witness is
-re-verified coordinate by coordinate with exact rational arithmetic, a
-centerpoint by counting the attainment sets of its principal
-coefficients instead of testing each subset.
+Positive results never rely on the search alone.  Each witness is
+certified once, on the search's integers: the principal coefficients of
+the grid point over every part or member must reproduce it with a unit
+coefficient, and those of a centerpoint must fill each attainment set
+with at least q points.  The coefficients travel with the witness, as
+Fractions, so a caller can re-check them by forward evaluation without
+running residuation again.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .core import (
     LUKASIEWICZ_TAG,
     MIN,
     MIN_TAG,
+    PRODUCT_TAG,
     PreconditionError,
     ResolutionExhausted,
     TNorm,
@@ -62,6 +66,7 @@ from .hull import Polytope
 
 DEFAULT_STEP = Fraction(1, 100)
 Encoded = tuple[int, ...]  # a homogenized point as numerators over the grid's denominator
+Coefficients = tuple[Fraction, ...]  # one coefficient per generator of a hull
 
 
 def _validate(pts: Sequence[Point], tnorm: TNorm) -> None:
@@ -102,20 +107,40 @@ class MaxTMembership:
 
 @dataclass(frozen=True)
 class RadonPartition:
+    """Two parts whose hulls share ``witness``; ``coefficients`` holds the
+    principal coefficients of the witness over part1 and over part2."""
+
     part1: tuple[int, ...]
     part2: tuple[int, ...]
     witness: Point
+    coefficients: tuple[Coefficients, Coefficients]
 
 
 @dataclass(frozen=True)
 class TverbergPartition:
+    """r parts whose hulls share ``witness``, with its principal
+    coefficients over each part."""
+
     parts: tuple[tuple[int, ...], ...]
     witness: Point
+    coefficients: tuple[Coefficients, ...]
 
 
 @dataclass(frozen=True)
 class CommonWitness:
+    """A point of every member's hull, with its principal coefficients
+    over each member."""
+
     point: Point
+    coefficients: tuple[Coefficients, ...]
+
+
+@dataclass(frozen=True)
+class CenterpointWitness:
+    """A centerpoint, with its principal coefficients over all n points."""
+
+    point: Point
+    coefficients: Coefficients
 
 
 @dataclass(frozen=True)
@@ -172,17 +197,16 @@ def hull_member_maxt(p: Point, x: Polytope, tnorm: TNorm = MIN) -> MaxTMembershi
 
 @dataclass(frozen=True)
 class _Search:
-    """One witness question over ``points``, encoded once.
+    """One witness question over some points, encoded once.
 
     The grid holds the point coordinates and both bounds, refined by
     ``step`` (None for the exact min grid).  Every value is kept as its
     numerator over ``denom``, the common denominator of the grid:
     ``levels`` for the grid, as ``core.grid_levels`` builds it, ``top``
-    for hi, and ``gens[i]`` for points[i] homogenized to (top, x).
+    for hi, and ``gens[i]`` for point i homogenized to (top, x).
     Groups of generators are tuples of point indices.
     """
 
-    points: tuple[Point, ...]
     tnorm: TNorm
     step: Fraction | None
     levels: tuple[int, ...]
@@ -205,36 +229,23 @@ def _search(points: Sequence[Point], tnorm: TNorm, grid_step: Fraction | None) -
 
     top = level(tnorm.bounds.hi)
     gens = tuple((top, *map(level, p.coords)) for p in points)
-    return _Search(tuple(points), tnorm, step, levels, denom, top, gens)
+    return _Search(tnorm, step, levels, denom, top, gens)
 
 
-def _project(
-    y: Encoded, gens: Sequence[Encoded], top: int, tag: str, floor: Callable, rank: int = 1
-) -> Encoded:
-    """Rank-r projection of y onto the semimodule spanned by gens, floored.
+def _principal_levels(y: Encoded, gens: Sequence[Encoded], top: int, tag: str) -> list:
+    """Principal coefficients lam_i = min_j res(v_ij, y_j), on numerators.
 
-    The principal solution lam_i = min_j res(v_ij, y_j), then the r-th
-    largest of the terms T(lam_i, v_ij) over i, on numerators over the
-    grid's common denominator (top is the numerator of hi).  Rank 1 is
-    max_i T(lam_i, v_ij), the greatest point of the semimodule below y.
-    Rank r is the least of those greatest points over every subset of
-    len(gens) - r + 1 generators: a subset's max misses at most the r - 1
-    largest terms.  Under min res(a, b) = top if a <= b else b, and the
-    result is on the grid already.  Under Lukasiewicz and product lam_i
-    stays exact, as an integer under Lukasiewicz and as the ratio (b, a)
-    of two numerators under product, compared by cross-multiplication;
-    only the projected coordinates are floored onto the grid.
+    The residual is taken on numerators over the grid's common
+    denominator (top is the numerator of hi): res(a, b) = top if a <= b,
+    else b under min and top - a + b under Lukasiewicz, so lam_i is an
+    integer numerator.  Under product res(a, b) = b / a, and lam_i is
+    kept exact as the ratio (b, a) of two numerators, (1, 1) for hi,
+    compared by cross-multiplication.
     """
-    pick = max if rank == 1 else (lambda terms: sorted(terms, reverse=True)[rank - 1])
-    cols = zip(*gens)
     if tag == MIN_TAG:
-        lams = [min(top if a <= b else b for a, b in zip(v, y)) for v in gens]
-        return tuple(pick(min(lam, a) for lam, a in zip(lams, col)) for col in cols)
+        return [min(top if a <= b else b for a, b in zip(v, y)) for v in gens]
     if tag == LUKASIEWICZ_TAG:
-        lams = [min(top if a <= b else top - a + b for a, b in zip(v, y)) for v in gens]
-        return tuple(
-            floor(max(0, pick(lam + a for lam, a in zip(lams, col)) - top)) for col in cols
-        )
+        return [min(top if a <= b else top - a + b for a, b in zip(v, y)) for v in gens]
     ratios = []
     for v in gens:
         num, den = 1, 1
@@ -242,9 +253,76 @@ def _project(
             if a > b and b * den < num * a:
                 num, den = b, a
         ratios.append((num, den))
+    return ratios
+
+
+def _project(
+    y: Encoded, gens: Sequence[Encoded], top: int, tag: str, floor: Callable, rank: int = 1
+) -> Encoded:
+    """Rank-r projection of y onto the semimodule spanned by gens, floored.
+
+    The principal solution (``_principal_levels``), then the r-th largest
+    of the terms T(lam_i, v_ij) over i, on numerators over the grid's
+    common denominator.  Rank 1 is max_i T(lam_i, v_ij), the greatest
+    point of the semimodule below y.  Rank r is the least of those
+    greatest points over every subset of len(gens) - r + 1 generators: a
+    subset's max misses at most the r - 1 largest terms.  Under min the
+    result is on the grid already; under Lukasiewicz and product only the
+    projected coordinates are floored onto the grid.
+    """
+    pick = max if rank == 1 else (lambda terms: sorted(terms, reverse=True)[rank - 1])
+    lams = _principal_levels(y, gens, top, tag)
+    cols = zip(*gens)
+    if tag == MIN_TAG:
+        return tuple(pick(min(lam, a) for lam, a in zip(lams, col)) for col in cols)
+    if tag == LUKASIEWICZ_TAG:
+        return tuple(
+            floor(max(0, pick(lam + a for lam, a in zip(lams, col)) - top)) for col in cols
+        )
     return tuple(
-        floor(pick(num * a // den for (num, den), a in zip(ratios, col))) for col in cols
+        floor(pick(num * a // den for (num, den), a in zip(lams, col))) for col in cols
     )
+
+
+def _attainment(
+    search: _Search, gens: Sequence[Encoded], y: Encoded
+) -> tuple[Coefficients, tuple[int, ...]]:
+    """Principal coefficients of grid point y over gens, and its attainment counts.
+
+    y is a homogenized grid point (top, p).  The counts are the sizes of
+    A_0 = {i : lam_i = hi} and A_j = {i : T(lam_i, x_ij) = p_j}, decided
+    exactly on the search's integers; as T(lam_i, hi) = lam_i, A_0 is
+    the attainment set of coordinate 0.  Every term is at most y_j by
+    the principal solution, so p lies in the hull of gens exactly when
+    every count is at least 1, and in the hull of every subset that
+    leaves out fewer than k of them when every count is at least k.
+    The coefficients are returned as the Fractions ``hull_member_maxt``
+    computes for p.
+    """
+    top, tag = search.top, search.tnorm.tag
+    lams = _principal_levels(y, gens, top, tag)
+    if tag == MIN_TAG:
+        def attains(lam, a, b):
+            return min(lam, a) == b
+    elif tag == LUKASIEWICZ_TAG:
+        def attains(lam, a, b):
+            return max(0, lam + a - top) == b
+    else:
+        def attains(lam, a, b):
+            return lam[0] * a == b * lam[1]
+    counts = tuple(
+        sum(attains(lam, v[j], b) for lam, v in zip(lams, gens)) for j, b in enumerate(y)
+    )
+    if tag == PRODUCT_TAG:
+        coefficients = tuple(Fraction(num, den) for num, den in lams)
+    else:
+        coefficients = tuple(Fraction(lam, search.denom) for lam in lams)
+    return coefficients, counts
+
+
+def _point(search: _Search, y: Encoded) -> Point:
+    """The point of homogenized grid point y."""
+    return Point(tuple(Fraction(e, search.denom) for e in y[1:]))
 
 
 def _greatest_common_point(
@@ -282,8 +360,8 @@ def _greatest_common_point(
 
 def _lex_first(
     search: _Search, groups: Sequence[Sequence[Encoded]], rank: int = 1
-) -> Point | None:
-    """Lex-first grid point in every hull, found by floored cyclic projections.
+) -> Encoded | None:
+    """Lex-first grid point in every hull, homogenized, by floored cyclic projections.
 
     Generator x is encoded as (top, x).  The hulls share a grid point
     iff the greatest common grid point of these semimodules has
@@ -317,7 +395,7 @@ def _lex_first(
                 lo = mid + 1
             else:
                 hi, y = bisect_left(levels, z[j]), z
-    return Point(tuple(Fraction(e, search.denom) for e in y[1:]))
+    return y
 
 
 def _boxes_apart(groups: Sequence[Sequence[Encoded]]) -> bool:
@@ -326,13 +404,15 @@ def _boxes_apart(groups: Sequence[Sequence[Encoded]]) -> bool:
     return any(max(map(min, c)) > min(map(max, c)) for c in zip(*columns))
 
 
-def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> Point | None:
+def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> CommonWitness | None:
     """Lex-first grid point lying in the hull of every group, or None.
 
-    Each group is a tuple of indices into ``search.points``.  One search
-    for every norm: floored cyclic projections onto the homogenized
-    hulls (``_lex_first``).  Any hit is re-verified with exact rational
-    arithmetic before it is returned.
+    Each group is a tuple of point indices.  One search for every norm:
+    floored cyclic projections onto the homogenized hulls
+    (``_lex_first``).  A hit is certified on the search's integers
+    before it is returned: over each group its principal coefficients
+    must reproduce it with a unit coefficient (``_attainment``).  They
+    are returned with it, one tuple per group.
 
     With three or more groups a box test comes first.  A max-T
     combination with a unit coefficient lies in the coordinatewise
@@ -346,13 +426,16 @@ def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> Point | N
     gens = [[search.gens[i] for i in g] for g in groups]
     if len(gens) > 2 and _boxes_apart(gens):
         return None
-    q = _lex_first(search, gens)
-    if q is None:
+    y = _lex_first(search, gens)
+    if y is None:
         return None
-    for g in groups:
-        if not _member_exact(q, [search.points[i] for i in g], search.tnorm):
+    coefficients = []
+    for g in gens:
+        lams, counts = _attainment(search, g, y)
+        if min(counts) < 1:
             raise AssertionError("search witness failed exact re-verification")
-    return q
+        coefficients.append(lams)
+    return CommonWitness(point=_point(search, y), coefficients=tuple(coefficients))
 
 
 def _grid_text(search: _Search) -> str:
@@ -397,9 +480,9 @@ def radon_partition(
     for mask in range(1, 1 << (n - 1)):
         part2 = tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
         part1 = tuple(i for i in range(n) if i not in part2)
-        witness = _common_point(search, (part1, part2))
-        if witness is not None:
-            return RadonPartition(part1=part1, part2=part2, witness=witness)
+        hit = _common_point(search, (part1, part2))
+        if hit is not None:
+            return RadonPartition(part1, part2, hit.point, hit.coefficients)
     raise _miss(search, "Radon witness")
 
 
@@ -430,7 +513,7 @@ def helly_check(
     members = [range(end - len(poly), end) for poly, end in zip(polys, ends)]
     witness = _common_point(search, members)
     if witness is not None:
-        return CommonWitness(point=witness)
+        return witness
     k = min(d + 1, len(polys))
     for subset in itertools.combinations(range(len(polys)), k):
         # with k == len(polys) the one subset is the family just searched
@@ -439,21 +522,6 @@ def helly_check(
                 indices=subset, grid_step=search.step, grid_size=len(search.levels)
             )
     raise _miss(search, "family-wide witness")
-
-
-def _attainment_counts(p: Point, points: Sequence[Point], tnorm: TNorm) -> tuple[int, ...]:
-    """``attainment_counts`` on unchecked arithmetic.
-
-    Precondition, as for ``_principal``: p and every point lie inside
-    ``tnorm.bounds`` (the points have passed ``_validate`` and p is a
-    point of the search grid).
-    """
-    hi = tnorm.bounds.hi
-    lams = [min(tnorm.residual(x[j], p[j]) for j in range(p.dim)) for x in points]
-    return (sum(lam == hi for lam in lams),) + tuple(
-        sum(tnorm.apply(lam, x[j]) == p[j] for lam, x in zip(lams, points))
-        for j in range(p.dim)
-    )
 
 
 def attainment_counts(p: Point, points: Sequence[Point], tnorm: TNorm = MIN) -> tuple[int, ...]:
@@ -466,14 +534,19 @@ def attainment_counts(p: Point, points: Sequence[Point], tnorm: TNorm = MIN) -> 
     least len(points) - m + 1.  Exact rational arithmetic throughout.
     """
     _validate([p] + list(points), tnorm)
-    return _attainment_counts(p, points, tnorm)
+    hi = tnorm.bounds.hi
+    lams = [min(tnorm.residual(x[j], p[j]) for j in range(p.dim)) for x in points]
+    return (sum(lam == hi for lam in lams),) + tuple(
+        sum(tnorm.apply(lam, x[j]) == p[j] for lam, x in zip(lams, points))
+        for j in range(p.dim)
+    )
 
 
 def centerpoint(
     points: Sequence[Point],
     tnorm: TNorm = MIN,
     grid_step: Fraction | None = None,
-) -> Point:
+) -> CenterpointWitness:
     """Point lying in the hull of every subset larger than dn/(d+1).
 
     Equivalently, a common point of the hulls of all subsets of size
@@ -482,7 +555,9 @@ def centerpoint(
     on the subset, so the least projection onto those hulls is one
     rank-q projection onto all n points, and one search with rank q
     gives the lex-first grid point in every m0-subset hull.  The witness
-    is re-verified by exact attainment counts: each must be at least q.
+    is certified by its attainment counts over all n points, on the
+    search's integers: each must be at least q.  It is returned with its
+    principal coefficients.
     """
     pts = list(points)
     _validate(pts, tnorm)
@@ -490,12 +565,13 @@ def centerpoint(
     n = len(pts)
     q = n - (d * n) // (d + 1)
     search = _search(pts, tnorm, grid_step)
-    witness = _lex_first(search, [search.gens], rank=q)
-    if witness is None:
+    y = _lex_first(search, [search.gens], rank=q)
+    if y is None:
         raise _miss(search, "centerpoint")
-    if min(_attainment_counts(witness, pts, tnorm)) < q:
+    lams, counts = _attainment(search, search.gens, y)
+    if min(counts) < q:
         raise AssertionError("search witness failed exact re-verification")
-    return witness
+    return CenterpointWitness(point=_point(search, y), coefficients=lams)
 
 
 def _is_prime_power(r: int) -> bool:
@@ -558,15 +634,15 @@ def tverberg_search(
         )
     if r == 2:
         rp = radon_partition(pts, tnorm, grid_step)
-        return TverbergPartition(parts=(rp.part1, rp.part2), witness=rp.witness)
+        return TverbergPartition((rp.part1, rp.part2), rp.witness, rp.coefficients)
     search = _search(pts, tnorm, grid_step)
     for labels in _partitions_into(n, r):
         parts = tuple(
             tuple(i for i in range(n) if labels[i] == b) for b in range(r)
         )
-        witness = _common_point(search, parts)
-        if witness is not None:
-            return TverbergPartition(parts=parts, witness=witness)
+        hit = _common_point(search, parts)
+        if hit is not None:
+            return TverbergPartition(parts, hit.point, hit.coefficients)
     if not tnorm.is_min or _is_prime_power(r):
         raise _miss(search, "Tverberg witness")
     raise NotFound(

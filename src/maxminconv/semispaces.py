@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import PreconditionError, SemiringBounds, UNIT, as_value
 from .geometry import Point, _check_bounds, _check_same_dim
@@ -35,6 +36,11 @@ class NotOnDiagonal(PreconditionError):
 def index_set(p: Point, bounds: SemiringBounds = UNIT) -> tuple[int, ...]:
     """Valid semispace indices I(p), ascending, 0 first when present."""
     _check_bounds(p, bounds)
+    return _index_set(p, bounds)
+
+
+def _index_set(p: Point, bounds: SemiringBounds) -> tuple[int, ...]:
+    """``index_set`` for a point already inside the bounds."""
     out = []
     if all(c < bounds.hi for c in p.coords):
         out.append(0)
@@ -96,6 +102,21 @@ def semispace_contains(s: SemispaceId, q: Point) -> bool:
 def sector_contains(s: SemispaceId, q: Point) -> bool:
     """Membership in the complement sector (closed by construction)."""
     return not semispace_contains(s, q)
+
+
+def sector_test(s: SemispaceId) -> Callable[[Point], bool]:
+    """``sector_contains(s, .)`` for many points of the anchor's dimension.
+
+    The tail is computed once, here, instead of once per point, and the
+    points' dimension is not checked again.
+    """
+    p = s.anchor
+    if s.index == 0:
+        return lambda q: all(qm <= pm for qm, pm in zip(q.coords, p.coords))
+    c = s.index - 1
+    pc = p[c]
+    tail = [(m, p[m]) for m in s.tail()]
+    return lambda q: q[c] >= pc and all(q[m] <= pm for m, pm in tail)
 
 
 def semispace_closure_contains(s: SemispaceId, q: Point) -> bool:

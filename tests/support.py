@@ -36,7 +36,6 @@ from maxminconv.semispaces import Hyperplane
 from maxminconv.separation import Box
 from maxminconv.maxt import (
     DEFAULT_STEP,
-    CommonWitness,
     CounterexampleSubfamily,
     _common_point,
     _lex_first,
@@ -111,20 +110,24 @@ def search_common_point(groups, tnorm, grid_step=None):
     """
     search, indices = search_groups(groups, tnorm, grid_step)
     grid = tuple(Fraction(level, search.denom) for level in search.levels)
-    return _common_point(search, indices), grid
+    hit = _common_point(search, indices)
+    return None if hit is None else hit.point, grid
 
 
-def common_point_unfiltered(search, groups):
-    """``maxt._common_point`` without its box test.
+def common_point_unfiltered(groups, tnorm):
+    """The point of ``maxt._common_point`` on groups of points, without its box test.
 
     The reference for the box test: every set of groups, box-disjoint or
-    not, is searched by ``_lex_first``, and a hit is re-verified exactly.
+    not, is searched by ``_lex_first``, and a hit is re-verified by
+    Fraction residuation.
     """
-    q = _lex_first(search, [[search.gens[i] for i in g] for g in groups])
-    if q is None:
+    search, indices = search_groups(groups, tnorm)
+    y = _lex_first(search, [[search.gens[i] for i in g] for g in indices])
+    if y is None:
         return None
+    q = Point(tuple(Fraction(e, search.denom) for e in y[1:]))
     for g in groups:
-        if not _member_exact(q, [search.points[i] for i in g], search.tnorm):
+        if not _member_exact(q, g, tnorm):
             raise AssertionError("search witness failed exact re-verification")
     return q
 
@@ -166,7 +169,7 @@ def helly_check_subfamilies_first(family, tnorm, grid_step=None):
     witness = _common_point(search, members)
     if witness is None:
         raise _miss(search, "family-wide witness")
-    return CommonWitness(point=witness)
+    return witness
 
 
 def common_point_exact(groups, tnorm, grid):

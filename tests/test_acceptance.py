@@ -438,7 +438,7 @@ def test_criterion_09_maxt_theorems():
     for n in range(3, 8):
         for _ in range(6):
             pts = [rand_point(rng, 2) for _ in range(n)]
-            cp = centerpoint(pts)
+            cp = centerpoint(pts).point
             m0 = (2 * n) // 3 + 1
             for subset in itertools.combinations(range(n), m0):
                 sub = Polytope(tuple(pts[i] for i in subset))

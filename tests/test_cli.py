@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,8 @@ def test_centerpoint_rechecks_every_subset_hull(capsys, intervals_path, monkeypa
     {0.3, 0.5, 0.7} holds 0.1; min counts sectors, product attainment sets.
     """
     from maxminconv.geometry import point
+    from maxminconv.hull import Polytope
+    from maxminconv.maxt import CenterpointWitness, hull_member_maxt
 
     name = "inside the hull of every 3-subset (all 10 of them)"
     argv = ("centerpoint", intervals_path, "--pointset", "five", "--tnorm", tnorm)
@@ -308,28 +311,34 @@ def test_centerpoint_rechecks_every_subset_hull(capsys, intervals_path, monkeypa
     assert code == 0
     assert doc["verification"]["checks"] == [{"name": name, "passed": True}]
 
-    monkeypatch.setattr(cli, "centerpoint", lambda pts, t, step: point("0.1"))
+    def forged(pts, t, step):
+        p = point("0.1")
+        return CenterpointWitness(p, hull_member_maxt(p, Polytope(tuple(pts)), t).coefficients)
+
+    monkeypatch.setattr(cli, "centerpoint", forged)
     code, doc, _ = run_json(capsys, *argv)
     assert code == 1
     assert doc["status"] == "verification-failed"
     assert doc["verification"]["checks"] == [{"name": name, "passed": False}]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("radon", "--pointset", "radon"), ("helly", "--family", "good"),
-     ("tverberg", "--pointset", "seven", "--r", "3")],
-    ids=lambda argv: argv[0],
-)
-def test_min_witnesses_are_rechecked_by_sectors(capsys, tmp_path, monkeypatch, argv):
-    """Under min a witness outside the hulls fails its re-check.
+WITNESS_ARGV = [
+    ("radon", "--pointset", "radon"),
+    ("helly", "--family", "good"),
+    ("tverberg", "--pointset", "seven", "--r", "3"),
+]
 
-    The search is patched to return (0.99, 0.99), outside every hull below,
-    and residuation to accept any point, so only the sector-witness test
-    can refuse the witness.
+
+def _run_forged_witness(capsys, tmp_path, monkeypatch, argv, *options):
+    """Run argv with the search forged to end at (0.99, 0.99).
+
+    That point lies outside every hull below.  ``maxt._lex_first`` is
+    patched to end there, and the search's integer self-check
+    (``maxt._attainment``) to accept it with every coefficient hi and
+    every attainment set full, so only the CLI's own re-check can refuse
+    the witness.  Returns the exit code and the document.
     """
     from maxminconv import maxt
-    from maxminconv.geometry import point
 
     doc = dict(BASE, pointsets={
         "radon": [["0.1", "0.9"], ["0.9", "0.1"], ["0.5", "0.5"], ["0.2", "0.2"]],
@@ -338,14 +347,51 @@ def test_min_witnesses_are_rechecked_by_sectors(capsys, tmp_path, monkeypatch, a
     })
     path = tmp_path / "witness.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setattr(maxt, "_lex_first", lambda search, groups, rank=1: point("0.99", "0.99"))
-    monkeypatch.setattr(
-        maxt, "_principal", lambda p, gens, tnorm: ((tnorm.bounds.hi,) * len(gens), p)
-    )
-    code, out, _ = run_json(capsys, argv[0], str(path), *argv[1:])
+
+    def forged_end(search, groups, rank=1):
+        # numerators over the search's denominator; Fractions where 99/100
+        # is off the exact min grid
+        return (search.top,) + (Fraction(99, 100) * search.denom,) * 2
+
+    def accept(search, gens, y):
+        return (Fraction(1),) * len(gens), (len(gens),) * len(y)
+
+    monkeypatch.setattr(maxt, "_lex_first", forged_end)
+    monkeypatch.setattr(maxt, "_attainment", accept)
+    code, out, _ = run_json(capsys, argv[0], str(path), *argv[1:], *options)
+    return code, out
+
+
+@pytest.mark.parametrize("argv", WITNESS_ARGV, ids=lambda argv: argv[0])
+def test_min_witnesses_are_rechecked_by_sectors(capsys, tmp_path, monkeypatch, argv):
+    """Under min a witness outside the hulls fails its re-check.
+
+    The search and its self-check are forged to accept (0.99, 0.99), so
+    only the sector-witness test can refuse the witness.
+    """
+    code, out = _run_forged_witness(capsys, tmp_path, monkeypatch, argv)
     assert code == 1
     assert out["status"] == "verification-failed"
     assert out["result"]["witness"] == ["99/100", "99/100"]
+    assert not out["verification"]["passed"]
+
+
+@pytest.mark.parametrize("tnorm", ["product", "lukasiewicz"])
+@pytest.mark.parametrize(
+    "argv", WITNESS_ARGV + [("centerpoint", "--pointset", "seven")], ids=lambda argv: argv[0]
+)
+def test_forged_certificates_fail_the_forward_check(capsys, tmp_path, monkeypatch, argv, tnorm):
+    """Under product and Lukasiewicz the forward check refuses a forged witness.
+
+    The search and its self-check are forged to accept (0.99, 0.99) with
+    every coefficient hi.  The CLI evaluates those coefficients forward,
+    finds that no term reaches 99/100, and refuses the result.
+    """
+    code, out = _run_forged_witness(capsys, tmp_path, monkeypatch, argv, "--tnorm", tnorm)
+    assert code == 1
+    assert out["status"] == "verification-failed"
+    field = "centerpoint" if argv[0] == "centerpoint" else "witness"
+    assert out["result"][field] == ["99/100", "99/100"]
     assert not out["verification"]["passed"]
 
 
@@ -842,6 +888,30 @@ def test_cached_parser_keeps_calls_apart(capsys, instance_path, intervals_path, 
     # each option shows in its call's document, so a leak would show in the next
     for first, second in [(0, 1), (2, 3), (6, 8)]:
         assert in_process[first][1] != in_process[second][1]
+
+
+def test_benchmark_lookups_resolve():
+    """Every entry point the benchmark looks up by name still exists.
+
+    ``perfbench/spans.py`` traces the entry points in ``SPANS`` by module
+    and attribute name (a bare "*" traces a whole module), and
+    ``perfbench/run.py`` records ``_kernels.backend_name()`` in every
+    run's details line.
+    """
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name, targets in spans.SPANS.items():
+        for modname, attr in targets:
+            module = importlib.import_module("maxminconv." + modname)
+            assert attr == "*" or callable(getattr(module, attr, None)), (name, modname, attr)
+    from maxminconv import _kernels
+
+    assert isinstance(_kernels.backend_name(), str)
 
 
 def test_cli_commands_do_not_import_numpy(instance_path, intervals_path):

@@ -38,6 +38,22 @@ def test_point_basics():
     assert p.meet(point("0.4", "0.1")) == point("0.2", "0.1")
 
 
+def test_point_coerces_what_is_not_a_fraction_tuple():
+    """Strings and ints are converted, floats refused; Fractions kept as given."""
+    half = Fraction(1, 2)
+    assert point("1/2", 1).coords == (half, Fraction(1))
+    assert Point(("1/2",)).coords == (half,)
+    assert Point([half, "0.5"]).coords == (half, half)
+    assert type(Point([half]).coords) is tuple
+    coords = (half, Fraction(3, 4))
+    assert Point(coords).coords is coords
+    for bad in (point, lambda *c: Point(c)):
+        with pytest.raises(TypeError):
+            bad("1/2", 0.5)
+    with pytest.raises(TypeError):
+        Point((half, 0.5))
+
+
 def test_point_partial_order():
     assert X.leq(Y)
     assert not Y.leq(X)

@@ -22,6 +22,7 @@ from maxminconv.hull import Polytope, hull_member, polytope
 from maxminconv.maxt import (
     CommonWitness,
     CounterexampleSubfamily,
+    _attainment,
     _common_point,
     _lex_first,
     _member_exact,
@@ -362,11 +363,11 @@ def test_helly_family_first_matches_the_subfamilies_first_order(instance):
 
 def test_centerpoint_equal_points():
     pts = [point("0.4", "0.7")] * 3
-    assert centerpoint(pts) == point("0.4", "0.7")
+    assert centerpoint(pts).point == point("0.4", "0.7")
 
 
 def test_centerpoint_interval_example():
-    cp = centerpoint([point("0.1"), point("0.2"), point("0.8"), point("0.9")])
+    cp = centerpoint([point("0.1"), point("0.2"), point("0.8"), point("0.9")]).point
     assert cp == point("0.2")
     assert Fraction(1, 5) <= cp[0] <= Fraction(4, 5)
 
@@ -375,7 +376,7 @@ def test_centerpoint_subset_guarantee(rng):
     for _ in range(10):
         n = rng.randrange(3, 7)
         pts = [random_point(rng, 2, den=4) for _ in range(n)]
-        cp = centerpoint(pts)
+        cp = centerpoint(pts).point
         m0 = (2 * n) // 3 + 1
         for subset in itertools.combinations(range(n), m0):
             sub = Polytope(tuple(pts[i] for i in subset))
@@ -413,7 +414,7 @@ def test_depth_search_matches_the_subset_search(instance):
         with pytest.raises(ResolutionExhausted):
             centerpoint(pts, tnorm)
     else:
-        assert centerpoint(pts, tnorm) == expected
+        assert centerpoint(pts, tnorm).point == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -492,13 +493,72 @@ def test_attainment_counts_match_subset_enumeration():
     assert seen == {True, False}
 
 
+@st.composite
+def _certificate_questions(draw):
+    """A norm, 1-4 distinct generators on 1/8, and a point.
+
+    The point is one of their combinations, with coefficients on 1/8 and
+    one of them hi, or any point on 1/8.
+    """
+    tnorm = draw(st.sampled_from(ALL_TNORMS))
+    d = draw(st.integers(1, 3))
+    eighths = st.integers(0, 8).map(lambda k: Fraction(k, 8))
+    points = st.tuples(*[eighths] * d).map(Point)
+    gens = draw(st.lists(points, min_size=1, max_size=4, unique=True))
+    lam = draw(st.lists(eighths, min_size=len(gens), max_size=len(gens)))
+    lam[draw(st.integers(0, len(gens) - 1))] = Fraction(1)
+    combo = Point(tuple(
+        max(tnorm.apply(l, g[j]) for l, g in zip(lam, gens)) for j in range(d)
+    ))
+    return tnorm, gens, draw(st.sampled_from([combo, draw(points)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(question=_certificate_questions(), data=st.data())
+def test_grid_point_certificate_matches_residuation(question, data):
+    """A grid point's integer certificate is the residuation one, and checks forward.
+
+    The coefficients that ``_attainment`` computes on the search's
+    integers are those of ``hull_member_maxt``, and so are its counts
+    and verdict.  The CLI's forward check of them accepts exactly the
+    members, and certifies p in the hull of every subset that leaves out
+    fewer than k generators exactly when every count is at least k.  It
+    refuses the certificate once one coefficient is raised past its
+    residual, or leaves the bounds; under Lukasiewicz a coefficient below
+    lo would reproduce the same terms, max(0, lam + a - 1).
+    """
+    from maxminconv.cli import _certified
+
+    tnorm, gens, p = question
+    search = _search([p, *gens], tnorm, None)
+    lams, counts = _attainment(search, search.gens[1:], search.gens[0])
+    exact = hull_member_maxt(p, Polytope(tuple(gens)), tnorm)
+    assert lams == exact.coefficients
+    assert counts == attainment_counts(p, gens, tnorm)
+    assert (min(counts) >= 1) == exact.member
+    for depth in range(1, len(gens) + 1):
+        assert _certified(p, gens, lams, tnorm, depth) == (min(counts) >= depth)
+
+    i = data.draw(st.integers(0, len(gens) - 1))
+    hi = tnorm.bounds.hi
+
+    def replaced(v):
+        return lams[:i] + (v,) + lams[i + 1:]
+
+    if lams[i] < hi:
+        raised = lams[i] + (hi - lams[i]) * Fraction(data.draw(st.integers(1, 8)), 8)
+        assert not _certified(p, gens, replaced(raised), tnorm)
+    outside = data.draw(st.sampled_from([Fraction(-1, 8), Fraction(9, 8)]))
+    assert not _certified(p, gens, replaced(outside), tnorm)
+
+
 @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.tag)
 def test_centerpoint_is_polynomial_in_n(rng, tnorm):
     """C(40, 31) and C(60, 51) subsets; one rank-q search answers in well under 1 s."""
     for d, n in ((3, 40), (5, 60)):
         pts = [random_point(rng, d) for _ in range(n)]
         start = time.perf_counter()
-        cp = centerpoint(pts, tnorm)
+        cp = centerpoint(pts, tnorm).point
         assert time.perf_counter() - start < 1.0
         assert min(attainment_counts(cp, pts, tnorm)) >= n - (d * n) // (d + 1)
 
@@ -584,7 +644,7 @@ def test_box_test_only_skips_searches_that_miss(instance):
     """The box test changes no answer, and every box-disjoint search misses."""
     tnorm, groups = instance
     search, indices = search_groups(groups, tnorm)
-    assert _common_point(search, indices) == common_point_unfiltered(search, indices)
+    assert search_common_point(groups, tnorm)[0] == common_point_unfiltered(groups, tnorm)
     if boxes_apart(groups):
         assert _lex_first(search, [[search.gens[i] for i in g] for g in indices]) is None
 
@@ -657,7 +717,7 @@ def test_witness_searches_run_without_the_grid_scan(rng, monkeypatch):
     assert all(inside(out.point, poly.generators) for poly in family)
 
     pts = [random_point(rng, 3) for _ in range(6)]
-    cp = centerpoint(pts)
+    cp = centerpoint(pts).point
     m0 = (3 * 6) // 4 + 1
     for sub in itertools.combinations(range(6), m0):
         assert inside(cp, [pts[i] for i in sub])

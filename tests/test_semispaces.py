@@ -16,6 +16,7 @@ from maxminconv.semispaces import (
     index_set,
     sector_contains,
     sector_contains_box,
+    sector_test,
     semispace,
     semispace_closure_contains,
     semispace_contains,
@@ -89,6 +90,17 @@ def test_sector_is_complement(rng):
         q = random_point(rng, 3)
         for s in semispace_family(p):
             assert sector_contains(s, q) != semispace_contains(s, q)
+
+
+def test_sector_test_is_sector_contains(rng):
+    """The per-sector predicate agrees with sector_contains, ties included."""
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        p = random_point(rng, d, den=4)
+        inside = {s: sector_test(s) for s in semispace_family(p)}
+        for q in [random_point(rng, d, den=4) for _ in range(10)] + [p]:
+            for s, test in inside.items():
+                assert test(q) == sector_contains(s, q)
 
 
 def test_anchor_avoided_by_every_semispace(rng):
