@@ -83,7 +83,6 @@ from .semispaces import (
     index_set,
     sector_contains,
     sector_contains_box,
-    sector_test,
     semispace,
     semispace_contains,
     semispace_family,
@@ -218,21 +217,6 @@ def _certified(
         if max(terms) > target or terms.count(target) < depth:
             return False
     return True
-
-
-def _witness_member(
-    q: Point, gens: Sequence[Point], lams: Sequence[Fraction], inst: Instance
-) -> bool:
-    """Re-check a search witness against the hull of one part.
-
-    Under min this is the sector-witness test; under the other norms it
-    is the forward check of the part's principal coefficients, which the
-    search returned with the witness.  Neither runs the residuation the
-    search has just run.
-    """
-    if inst.tnorm.is_min:
-        return hull_member(q, Polytope(tuple(gens)), inst.bounds).member
-    return _certified(q, gens, lams, inst.tnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +580,7 @@ def _cmd_radon(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
     for k, (part, lams) in enumerate(zip((res.part1, res.part2), res.coefficients), start=1):
         ver.check(
             "witness in the hull of part %d" % k,
-            _witness_member(res.witness, [pts[i] for i in part], lams, inst),
+            _certified(res.witness, [pts[i] for i in part], lams, inst.tnorm),
         )
     return {
         "part1": list(res.part1),
@@ -612,7 +596,7 @@ def _cmd_helly(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
         for k, (poly, lams) in enumerate(zip(polys, out.coefficients)):
             ver.check(
                 "witness in member %d" % k,
-                _witness_member(out.point, poly.generators, lams, inst),
+                _certified(out.point, poly.generators, lams, inst.tnorm),
             )
         return {"witness": _fmt(out.point)}
     raise Negative(
@@ -630,16 +614,8 @@ def _cmd_centerpoint(inst: Instance, args: argparse.Namespace, ver: Verifier) ->
     d = pts[0].dim
     n = len(pts)
     m0 = (d * n) // (d + 1) + 1
-    # the point lies in every m0-subset hull exactly when no m0-subset
-    # misses a certificate set, that is when each set holds n - m0 + 1
-    # points.  Under min the sets are the valid sectors of the point (the
-    # sector-witness test); otherwise they are the attainment sets of the
-    # principal coefficients returned with it, evaluated forward.
-    if inst.tnorm.is_min:
-        sectors = semispace_family(res.point, inst.bounds)
-        inside = min(sum(map(sector_test(s), pts)) for s in sectors) >= n - m0 + 1
-    else:
-        inside = _certified(res.point, pts, res.coefficients, inst.tnorm, depth=n - m0 + 1)
+    # in every m0-subset hull when each attainment set holds n - m0 + 1 points
+    inside = _certified(res.point, pts, res.coefficients, inst.tnorm, depth=n - m0 + 1)
     ver.check(
         "inside the hull of every %d-subset (all %d of them)"
         % (m0, math.comb(n, m0)),
@@ -659,7 +635,7 @@ def _cmd_tverberg(inst: Instance, args: argparse.Namespace, ver: Verifier) -> di
     for k, (part, lams) in enumerate(zip(res.parts, res.coefficients)):
         ver.check(
             "witness in the hull of part %d" % k,
-            _witness_member(res.witness, [pts[i] for i in part], lams, inst),
+            _certified(res.witness, [pts[i] for i in part], lams, inst.tnorm),
         )
     return {
         "parts": [list(part) for part in res.parts],

@@ -40,7 +40,8 @@ the grid point over every part or member must reproduce it with a unit
 coefficient, and those of a centerpoint must fill each attainment set
 with at least q points.  The coefficients travel with the witness, as
 Fractions, so a caller can re-check them by forward evaluation without
-running residuation again.
+running residuation again; the CLI does so under every norm, min
+included.
 """
 
 from __future__ import annotations

@@ -299,7 +299,8 @@ def test_centerpoint_rechecks_every_subset_hull(capsys, intervals_path, monkeypa
     """The depth re-check refuses a point outside one 3-subset hull.
 
     Of the five points 0.1, ..., 0.9 every 3-subset hull but that of
-    {0.3, 0.5, 0.7} holds 0.1; min counts sectors, product attainment sets.
+    {0.3, 0.5, 0.7} holds 0.1; under both norms the CLI counts the
+    attainment sets of the returned coefficients.
     """
     from maxminconv.geometry import point
     from maxminconv.hull import Polytope
@@ -362,26 +363,12 @@ def _run_forged_witness(capsys, tmp_path, monkeypatch, argv, *options):
     return code, out
 
 
-@pytest.mark.parametrize("argv", WITNESS_ARGV, ids=lambda argv: argv[0])
-def test_min_witnesses_are_rechecked_by_sectors(capsys, tmp_path, monkeypatch, argv):
-    """Under min a witness outside the hulls fails its re-check.
-
-    The search and its self-check are forged to accept (0.99, 0.99), so
-    only the sector-witness test can refuse the witness.
-    """
-    code, out = _run_forged_witness(capsys, tmp_path, monkeypatch, argv)
-    assert code == 1
-    assert out["status"] == "verification-failed"
-    assert out["result"]["witness"] == ["99/100", "99/100"]
-    assert not out["verification"]["passed"]
-
-
-@pytest.mark.parametrize("tnorm", ["product", "lukasiewicz"])
+@pytest.mark.parametrize("tnorm", ["min", "product", "lukasiewicz"])
 @pytest.mark.parametrize(
     "argv", WITNESS_ARGV + [("centerpoint", "--pointset", "seven")], ids=lambda argv: argv[0]
 )
 def test_forged_certificates_fail_the_forward_check(capsys, tmp_path, monkeypatch, argv, tnorm):
-    """Under product and Lukasiewicz the forward check refuses a forged witness.
+    """Under every norm the forward check refuses a forged witness.
 
     The search and its self-check are forged to accept (0.99, 0.99) with
     every coefficient hi.  The CLI evaluates those coefficients forward,
@@ -393,6 +380,52 @@ def test_forged_certificates_fail_the_forward_check(capsys, tmp_path, monkeypatc
     field = "centerpoint" if argv[0] == "centerpoint" else "witness"
     assert out["result"][field] == ["99/100", "99/100"]
     assert not out["verification"]["passed"]
+
+
+@st.composite
+def _min_certificate_questions(draw):
+    """Bounds [0, 1] or [-1, 2], 1-6 points on 1/8 (repeats allowed), a point p.
+
+    p is a max-min combination of the points with one coefficient hi,
+    or any point on 1/8 inside the bounds.
+    """
+    from maxminconv.core import MIN_TAG, SemiringBounds, TNorm
+    from maxminconv.geometry import Point
+
+    lo, hi = draw(st.sampled_from([(0, 1), (-1, 2)]))
+    tnorm = TNorm(MIN_TAG, SemiringBounds(Fraction(lo), Fraction(hi)))
+    d = draw(st.integers(1, 3))
+    eighths = st.integers(8 * lo, 8 * hi).map(lambda k: Fraction(k, 8))
+    points = st.tuples(*[eighths] * d).map(Point)
+    pts = draw(st.lists(points, min_size=1, max_size=6))
+    lam = draw(st.lists(eighths, min_size=len(pts), max_size=len(pts)))
+    lam[draw(st.integers(0, len(pts) - 1))] = Fraction(hi)
+    combo = Point(tuple(
+        max(tnorm.apply(l, q[j]) for l, q in zip(lam, pts)) for j in range(d)
+    ))
+    return tnorm, pts, draw(st.sampled_from([combo, draw(points)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_min_certificate_questions())
+def test_forward_check_matches_sector_counts_under_min(question):
+    """Under min the forward check decides what the sector counts decide.
+
+    With each point's coefficient its principal one, the least residual
+    of its coordinates, ``_certified`` at depth k accepts exactly when
+    every valid sector of p holds at least k of the points, and at depth
+    1 exactly when the sector-witness test finds p in their hull.
+    """
+    from maxminconv.hull import Polytope, hull_member
+    from maxminconv.semispaces import sector_test, semispace_family
+
+    tnorm, pts, p = question
+    lams = [min(tnorm.residual(q[j], p[j]) for j in range(p.dim)) for q in pts]
+    sectors = [sum(map(sector_test(s), pts)) for s in semispace_family(p, tnorm.bounds)]
+    for k in range(1, len(pts) + 1):
+        assert cli._certified(p, pts, lams, tnorm, depth=k) == (min(sectors) >= k)
+    member = hull_member(p, Polytope(tuple(pts)), tnorm.bounds).member
+    assert cli._certified(p, pts, lams, tnorm) == member
 
 
 def test_tverberg(capsys, intervals_path):

@@ -125,6 +125,47 @@ def test_improvement_chain():
     assert better.tightness > kd.tightness
 
 
+def test_stuck_lifting_phase_recuts_the_diagram(monkeypatch):
+    """A lifting phase with no row to add re-cuts N1 around its tree.
+
+    Sinking from row 1 along its pi-column 1 reaches row 3, whose
+    pi-column 0 lies in N2, so the trajectory turns to lifting.  No row
+    of M1 has an entry above t in column 0, and the re-cut adds that
+    column to N1 and keeps M1.
+    """
+    from maxminconv import koenig
+
+    third = Fraction(1, 3)
+    m = Matrix((
+        (third, 2 * third, 2 * third),
+        (third, 2 * third, third),
+        (third, third, 2 * third),
+        (Fraction(1), Fraction(1), 2 * third),
+    ))
+    kd = koenig.KoenigDiagram(
+        matrix=m, t=2 * third, m1_rows=(0, 1, 2), n1_cols=(1, 2),
+        pi=((1, 1), (2, 2), (3, 0)),
+    )
+    kd.validate()
+    assert kd.tightness == -1
+
+    changes = []
+    raised = koenig._raised
+
+    def spy(d, **kw):
+        changes.append(kw)
+        return raised(d, **kw)
+
+    monkeypatch.setattr(koenig, "_raised", spy)
+    better = improve_diagram(kd)
+    better.validate()
+    assert better.is_tight and better.tightness == 0
+    assert (better.m1_rows, better.n1_cols, better.pi) == ((0, 1, 2), (0, 1, 2), kd.pi)
+    assert [set(kw) for kw in changes] == [{"m1_rows", "n1_cols"}]
+    assert set(better.n1_cols) > set(kd.n1_cols)
+    assert set(better.m1_rows) <= set(kd.m1_rows)
+
+
 def test_improve_rejects_tight_input():
     kd = tight_diagram(A_EXAMPLE)
     with pytest.raises(PreconditionError):
