@@ -278,12 +278,13 @@ def _cmd_distance(inst: Instance, args: argparse.Namespace, ver: Verifier) -> di
     bounds = _min_only(inst, "distance")
     x: Point = inst.lookup("points", args.x)
     y: Point = inst.lookup("points", args.y)
-    dist = geodesic_distance(x, y, bounds)
+    dec = segment_decompose(x, y, bounds)
+    dist = dec.length()
     ver.check("symmetric", dist == geodesic_distance(y, x, bounds))
     # re-derive from the corner chain: each straight piece moves a set of
     # coordinates by a common difference
     total = RadicalSum.zero()
-    for a, b, moving in segment_decompose(x, y, bounds).elementary():
+    for a, b, moving in dec.elementary():
         deltas = {abs(b[i] - a[i]) for i in moving}
         step = max(deltas)
         ver.check(

@@ -122,8 +122,8 @@ class SegmentPiece:
 
     ``m_indices`` move with the parameter, ``l_indices`` sit at the lower
     endpoint's value, ``h_indices`` at the upper one's.  A piece with an
-    empty M set is stationary (its image is a single point); a piece with
-    beta_lo == beta_hi is degenerate.  Coordinates are 0-indexed.
+    empty M set, or with beta_lo == beta_hi, is a single point.
+    Coordinates are 0-indexed.
     """
 
     beta_lo: Fraction
@@ -133,14 +133,6 @@ class SegmentPiece:
     m_indices: frozenset[int]
     l_indices: frozenset[int]
     h_indices: frozenset[int]
-
-    @property
-    def degenerate(self) -> bool:
-        return self.beta_lo == self.beta_hi
-
-    @property
-    def stationary(self) -> bool:
-        return not self.m_indices
 
     @property
     def moving(self) -> bool:
@@ -157,20 +149,19 @@ class SegmentDecomposition:
 
     For comparable endpoints, ``pieces`` covers the whole parameter range
     [lo, hi] (2d + 1 intervals including the stationary flanks before
-    min(x) and after max(y)), ordered from the lower endpoint to the upper
-    one.  For incomparable endpoints the decomposition concatenates the
-    halves [x, m] and [m, y] at the corner m = x v y, and ``pieces`` is
-    their union oriented from x to y.
+    min(x) and after max(y)), ordered from x to y.  For incomparable
+    endpoints ``corner`` is m = x v y, and ``pieces`` concatenates the
+    halves [x, m] and [m, y], oriented from x to y.
     """
 
     x: Point
     y: Point
-    mode: str
     pieces: tuple[SegmentPiece, ...]
-    bounds: SemiringBounds
-    breakpoints: tuple[Fraction, ...] | None = None
     corner: Point | None = None
-    halves: tuple["SegmentDecomposition", "SegmentDecomposition"] | None = None
+
+    @property
+    def mode(self) -> str:
+        return COMPARABLE if self.corner is None else CONCATENATED
 
     def elementary(self) -> tuple[tuple[Point, Point, frozenset[int]], ...]:
         """Maximal straight pieces as (start, end, moving-set) triples.
@@ -199,20 +190,36 @@ class SegmentDecomposition:
             chain.append(self.y)
         return tuple(chain)
 
+    def length(self) -> RadicalSum:
+        """Length of the staircase from x to y.
 
-def _decompose_ordered(lower: Point, upper: Point, bounds: SemiringBounds) -> SegmentDecomposition:
-    """Decomposition for lower <= upper, pieces from lower to upper."""
-    d = len(lower)
-    breakpoints = sorted(list(lower.coords) + list(upper.coords))
-    cuts = [bounds.lo] + breakpoints + [bounds.hi]
+        Each maximal straight piece moves |M| coordinates in lockstep, so
+        its Euclidean length is delta * sqrt(|M|).  The result is kept
+        symbolic.
+        """
+        total = RadicalSum.zero()
+        for start, end, m_set in self.elementary():
+            i = next(iter(m_set))
+            total = total + RadicalSum.term(abs(end[i] - start[i]), len(m_set))
+        return total
+
+
+def _ordered_pieces(lower: Point, upper: Point, bounds: SemiringBounds) -> tuple[SegmentPiece, ...]:
+    """Pieces of the segment lower <= upper, from lower to upper.
+
+    The cuts are the bounds and the 2d endpoint coordinates, so no
+    endpoint coordinate lies strictly inside a cut interval [t0, t1]:
+    coordinate i moves on it when lo_i <= t0 and t1 <= up_i, is low when
+    t1 <= lo_i, and is high otherwise.
+    """
+    cuts = [bounds.lo, *sorted(lower.coords + upper.coords), bounds.hi]
     pieces = []
     for t0, t1 in zip(cuts, cuts[1:]):
-        mid = (t0 + t1) / 2
         m_set, l_set, h_set = [], [], []
-        for i in range(d):
-            if lower[i] <= mid <= upper[i]:
+        for i, (lo_i, up_i) in enumerate(zip(lower.coords, upper.coords)):
+            if lo_i <= t0 and t1 <= up_i:
                 m_set.append(i)
-            elif mid < lower[i]:
+            elif t1 <= lo_i:
                 l_set.append(i)
             else:
                 h_set.append(i)
@@ -227,25 +234,14 @@ def _decompose_ordered(lower: Point, upper: Point, bounds: SemiringBounds) -> Se
                 h_indices=frozenset(h_set),
             )
         )
-    return SegmentDecomposition(
-        x=lower,
-        y=upper,
-        mode=COMPARABLE,
-        pieces=tuple(pieces),
-        bounds=bounds,
-        breakpoints=tuple(breakpoints),
-    )
+    return tuple(pieces)
 
 
-def _reverse_piece(piece: SegmentPiece) -> SegmentPiece:
-    return SegmentPiece(
-        beta_lo=piece.beta_lo,
-        beta_hi=piece.beta_hi,
-        start=piece.end,
-        end=piece.start,
-        m_indices=piece.m_indices,
-        l_indices=piece.l_indices,
-        h_indices=piece.h_indices,
+def _backwards(pieces: tuple[SegmentPiece, ...]) -> tuple[SegmentPiece, ...]:
+    """The same pieces traversed from the upper endpoint to the lower one."""
+    return tuple(
+        SegmentPiece(p.beta_lo, p.beta_hi, p.end, p.start, p.m_indices, p.l_indices, p.h_indices)
+        for p in reversed(pieces)
     )
 
 
@@ -254,32 +250,15 @@ def segment_decompose(x: Point, y: Point, bounds: SemiringBounds = UNIT) -> Segm
     _check_same_dim(x, y)
     _check_bounds(x, bounds)
     _check_bounds(y, bounds)
+    corner = None
     if x.leq(y):
-        return _decompose_ordered(x, y, bounds)
-    if y.leq(x):
-        dec = _decompose_ordered(y, x, bounds)
-        pieces = tuple(_reverse_piece(p) for p in reversed(dec.pieces))
-        return SegmentDecomposition(
-            x=x,
-            y=y,
-            mode=COMPARABLE,
-            pieces=pieces,
-            bounds=bounds,
-            breakpoints=dec.breakpoints,
-        )
-    corner = x.join(y)
-    first = _decompose_ordered(x, corner, bounds)
-    second = _decompose_ordered(y, corner, bounds)
-    pieces = first.pieces + tuple(_reverse_piece(p) for p in reversed(second.pieces))
-    return SegmentDecomposition(
-        x=x,
-        y=y,
-        mode=CONCATENATED,
-        pieces=pieces,
-        bounds=bounds,
-        corner=corner,
-        halves=(first, second),
-    )
+        pieces = _ordered_pieces(x, y, bounds)
+    elif y.leq(x):
+        pieces = _backwards(_ordered_pieces(y, x, bounds))
+    else:
+        corner = x.join(y)
+        pieces = _ordered_pieces(x, corner, bounds) + _backwards(_ordered_pieces(y, corner, bounds))
+    return SegmentDecomposition(x, y, pieces, corner)
 
 
 def _beta_interval_for_ordered(lower: Point, upper: Point, z: Point,
@@ -350,8 +329,8 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 class RadicalSum:
     """Exact sum of terms coeff * sqrt(radicand), radicands squarefree.
 
-    Closed under addition and rational scaling, which is all a staircase
-    length needs: each straight piece contributes delta * sqrt(|M|).
+    Closed under addition, which is all a staircase length needs: each
+    straight piece contributes delta * sqrt(|M|).
     """
 
     terms: tuple[tuple[int, Fraction], ...] = field(default=())
@@ -375,11 +354,6 @@ class RadicalSum:
         for m, c in self.terms + other.terms:
             acc[m] = acc.get(m, Fraction(0)) + c
         return RadicalSum(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
-
-    def scale(self, k: Fraction) -> "RadicalSum":
-        if k == 0:
-            return RadicalSum(())
-        return RadicalSum(tuple((m, c * k) for m, c in self.terms))
 
     def to_float(self) -> float:
         return float(sum(float(c) * math.sqrt(m) for m, c in self.terms))
@@ -415,18 +389,8 @@ class RadicalSum:
 
 
 def geodesic_distance(x: Point, y: Point, bounds: SemiringBounds = UNIT) -> RadicalSum:
-    """Length of the staircase segment from x to y.
-
-    Each maximal straight piece moves |M| coordinates in lockstep, so its
-    Euclidean length is delta * sqrt(|M|).  The result is kept symbolic.
-    """
-    dec = segment_decompose(x, y, bounds)
-    total = RadicalSum.zero()
-    for start, end, m_set in dec.elementary():
-        i = next(iter(m_set))
-        delta = abs(end[i] - start[i])
-        total = total + RadicalSum.term(delta, len(m_set))
-    return total
+    """Length of the staircase segment from x to y, kept symbolic."""
+    return segment_decompose(x, y, bounds).length()
 
 
 def parse_points(rows: Iterable[Sequence[RationalLike]]) -> tuple[Point, ...]:

@@ -422,6 +422,17 @@ def _certified(
     return p, assign
 
 
+def _require_interior(points: Sequence[Point], bounds: SemiringBounds) -> None:
+    """Refuse rows with a coordinate on or outside the bounds."""
+    for r, p in enumerate(points):
+        for c in p.coords:
+            if not bounds.interior(c):
+                raise PreconditionError(
+                    "row %d has coordinate %s on or outside the bounds %s; "
+                    "rerun with bounds.extended()" % (r, c, bounds)
+                )
+
+
 def internal_separation(points: Sequence[Point], bounds: SemiringBounds = UNIT) -> tuple[Point, dict[int, int]]:
     """Point p in the hull of d + 1 points, certified sector by sector.
 
@@ -431,13 +442,7 @@ def internal_separation(points: Sequence[Point], bounds: SemiringBounds = UNIT) 
     the bounds; widen with bounds.extended() first when they are not.
     """
     a = Matrix.from_points(points)
-    for r, p in enumerate(points):
-        for c in p.coords:
-            if not bounds.interior(c):
-                raise PreconditionError(
-                    "row %d has coordinate %s on or outside the bounds %s; "
-                    "rerun with bounds.extended()" % (r, c, bounds)
-                )
+    _require_interior(points, bounds)
     coords, assign = _internal_separation_rec(a)
     return _certified(points, Point(tuple(coords)), assign, bounds)
 
@@ -452,16 +457,11 @@ def intsep_sorted(points: Sequence[Point], bounds: SemiringBounds = UNIT) -> tup
     """
     a = Matrix.from_points(points)
     d = a.ncols
+    _require_interior(points, bounds)
     for r, p in enumerate(points):
         for j in range(d - 1):
             if p[j] < p[j + 1]:
                 raise PreconditionError("row %d is not sorted non-increasing" % r)
-        for c in p.coords:
-            if not bounds.interior(c):
-                raise PreconditionError(
-                    "row %d has coordinate %s on or outside the bounds %s"
-                    % (r, c, bounds)
-                )
     order = list(range(d + 1))  # order[pos] = original row index
     y: list[Fraction] = [None] * d  # type: ignore[list-item]
     for tpos in range(d, 0, -1):

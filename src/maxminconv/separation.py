@@ -24,11 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .core import PreconditionError, SemiringBounds, UNIT
 from .geometry import Point, _check_bounds, _check_same_dim
-from .hull import HullMembership, Polytope, _find_meeting_point, hull_member
+from .hull import HullMembership, Polytope, _find_meeting_point, _first_in_sector, hull_member
 from .semispaces import (
     Hyperplane,
     NotOnDiagonal,
@@ -129,19 +128,16 @@ def _least_sectors(
     lex-first anchor inside B with that sector.
     """
     lo, up = b.lower.coords, b.upper.coords
-    gens = [g.coords for g in c]
-
-    def first(key: int | None, anchor: tuple[Fraction, ...], capped: Iterable[int]) -> int | None:
-        for n, q in enumerate(gens):
-            if (key is None or q[key] >= anchor[key]) and all(q[m] <= anchor[m] for m in capped):
-                return n
-        return None
-
-    out = [(up, first(None, up, range(b.dim))) if all(v < bounds.hi for v in up) else None]
+    out = [
+        (up, _first_in_sector(SemispaceId(b.upper, 0), c))
+        if all(v < bounds.hi for v in up) else None
+    ]
     for k, lk in enumerate(lo):
-        tail = [m for m in range(b.dim) if up[m] < lk]
-        anchor = tuple(up[m] if m in tail else max(lo[m], lk) for m in range(b.dim))
-        out.append((anchor, first(k, anchor, tail)) if lk > bounds.lo else None)
+        anchor = tuple(um if um < lk else max(lm, lk) for lm, um in zip(lo, up))
+        out.append(
+            (anchor, _first_in_sector(SemispaceId(Point(anchor), k + 1), c))
+            if lk > bounds.lo else None
+        )
     return out
 
 

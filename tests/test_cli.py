@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import maxminconv
-from maxminconv import cli
+from maxminconv import cli, geometry
 from maxminconv.cli import main
 
 BASE = {
@@ -125,6 +125,25 @@ def test_distance_document(capsys, instance_path):
     lo = doc["result"]["value_interval"][0]
     assert abs(doc["result"]["value_float"] - 0.7414) < 1e-3
     assert "/" in lo
+
+
+@pytest.mark.parametrize("x, y", [("x", "y"), ("y", "x"), ("outside", "inside")])
+def test_distance_decomposes_the_segment_twice(capsys, instance_path, monkeypatch, x, y):
+    """One decomposition gives the length and its re-derivation; the
+    symmetric check decomposes [y, x] once more."""
+    calls = []
+    original = geometry.segment_decompose
+
+    def spy(a, b, bounds):
+        calls.append((a, b))
+        return original(a, b, bounds)
+
+    monkeypatch.setattr(geometry, "segment_decompose", spy)
+    monkeypatch.setattr(cli, "segment_decompose", spy)
+    code, doc, _ = run_json(capsys, "distance", instance_path, "--x", x, "--y", y)
+    assert code == 0 and doc["verification"]["passed"] is True
+    p, q = (cli.instance_from_dict(BASE).lookup("points", n) for n in (x, y))
+    assert calls == [(p, q), (q, p)]
 
 
 def test_semispaces_document(capsys, instance_path):

@@ -2,15 +2,17 @@
 
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxminconv.core import UNIT, PreconditionError
 from maxminconv.geometry import (
     Point,
     RadicalSum,
+    SegmentDecomposition,
     geodesic_distance,
     point,
     segment_contains,
@@ -125,12 +127,65 @@ def test_decompose_incomparable_example():
 
 def test_decompose_breakpoints_are_endpoint_coordinates():
     dec = segment_decompose(X, Y)
-    assert dec.breakpoints == (
+    assert [p.beta_lo for p in dec.pieces[1:]] == [p.beta_hi for p in dec.pieces[:-1]]
+    assert [p.beta_hi for p in dec.pieces[:-1]] == [
         Fraction(1, 5),
         Fraction(1, 2),
         Fraction(3, 5),
         Fraction(9, 10),
-    )
+    ]
+    assert (dec.pieces[0].beta_lo, dec.pieces[-1].beta_hi) == (UNIT.lo, UNIT.hi)
+
+
+def test_decomposition_keeps_only_endpoints_pieces_and_corner():
+    x, y = point("0.7", "0.2"), point("0.3", "0.6")
+    assert [f.name for f in fields(SegmentDecomposition)] == ["x", "y", "pieces", "corner"]
+    assert segment_decompose(X, Y).corner is None
+    assert segment_decompose(Y, X).mode == "comparable"
+    assert segment_decompose(x, y).mode == "concatenated"
+
+
+def _comparable_halves(x, y):
+    """(lower, upper) of each comparable half of [x, y], in piece order."""
+    if x.leq(y):
+        return [(x, y)]
+    if y.leq(x):
+        return [(y, x)]
+    return [(x, x.join(y)), (y, x.join(y))]
+
+
+@st.composite
+def endpoint_pairs(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    coords = st.fractions(min_value=0, max_value=1, max_denominator=4)
+    return tuple(Point(tuple(draw(coords) for _ in range(d))) for _ in range(2))
+
+
+@given(endpoint_pairs())
+@example((point("1/2", "1/4"), point("1/4", "1/2")))
+@example((point("0", "1/2", "1/2"), point("1", "1/2", "3/4")))
+@settings(max_examples=200, deadline=None)
+def test_piece_sets_match_the_midpoint_rule(pair):
+    """Each piece's M/L/H sets are those of its interval's midpoint.
+
+    At the midpoint, coordinate i moves when lower_i <= mid <= upper_i,
+    is low when mid < lower_i and high when mid > upper_i.  Coarse
+    coordinates repeat, so degenerate pieces (beta_lo == beta_hi) and
+    incomparable endpoints are both frequent; the two explicit examples
+    have both (incomparable) and repeated cuts on a comparable pair.
+    """
+    x, y = pair
+    d = x.dim
+    dec = segment_decompose(x, y)
+    halves = _comparable_halves(x, y)
+    n = 2 * d + 1
+    assert len(dec.pieces) == n * len(halves)
+    for h, (lower, upper) in enumerate(halves):
+        for piece in dec.pieces[h * n:(h + 1) * n]:
+            mid = (piece.beta_lo + piece.beta_hi) / 2
+            assert piece.m_indices == {i for i in range(d) if lower[i] <= mid <= upper[i]}
+            assert piece.l_indices == {i for i in range(d) if mid < lower[i]}
+            assert piece.h_indices == {i for i in range(d) if mid > upper[i]}
 
 
 def test_piece_classification_constant_and_consistent(rng):

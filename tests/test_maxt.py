@@ -24,6 +24,7 @@ from maxminconv.maxt import (
     CounterexampleSubfamily,
     _attainment,
     _common_point,
+    _is_prime_power,
     _lex_first,
     _member_exact,
     _search,
@@ -601,6 +602,19 @@ def test_tverberg_wrong_cardinality():
         tverberg_search([point("0.1"), point("0.5"), point("0.9")], 3)
     with pytest.raises(PreconditionError):
         tverberg_search([point("0.1")] * 5, 1)
+
+
+def test_is_prime_power_matches_trial_factorisation():
+    """r is a prime power exactly when trial division finds one prime factor."""
+    for r in range(1, 201):
+        factors = set()
+        n, p = r, 2
+        while n > 1:
+            while n % p == 0:
+                factors.add(p)
+                n //= p
+            p += 1
+        assert _is_prime_power(r) == (len(factors) == 1), r
 
 
 # ---------------------------------------------------------------------------
