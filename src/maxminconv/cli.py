@@ -113,8 +113,6 @@ def _fmt(x: Any) -> Any:
         return [format_value(c) for c in x.coords]
     if isinstance(x, (bool, int, str)) or x is None:
         return x
-    if isinstance(x, (frozenset, set)):
-        return sorted(_fmt(v) for v in x)
     if isinstance(x, (list, tuple)):
         return [_fmt(v) for v in x]
     if isinstance(x, dict):

@@ -180,15 +180,12 @@ class SegmentDecomposition:
         return tuple(out)
 
     def corner_chain(self) -> tuple[Point, ...]:
-        """Vertices of the staircase from x to y, pauses skipped."""
-        chain: list[Point] = [self.x]
-        for start, end, _ in self.elementary():
-            if start != chain[-1]:
-                chain.append(start)
-            chain.append(end)
-        if chain[-1] != self.y:
-            chain.append(self.y)
-        return tuple(chain)
+        """Vertices of the staircase from x to y, pauses skipped.
+
+        The pieces chain from x to y without gaps and a pause starts where
+        it ends, so each straight piece starts at the last one's end.
+        """
+        return (self.x, *(end for _, end, _ in self.elementary()))
 
     def length(self) -> RadicalSum:
         """Length of the staircase from x to y.

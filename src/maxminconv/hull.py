@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .core import PreconditionError, SemiringBounds, TNorm, MIN, UNIT, tnorm_apply
 from .geometry import Point, _check_bounds, _check_same_dim
 from .koenig import internal_separation
-from .semispaces import SemispaceId, _index_set, index_set, sector_test, semispace
+from .semispaces import SemispaceId, _index_set, sector_test, semispace
 
 
 @dataclass(frozen=True)
@@ -139,18 +139,16 @@ def colorful_weak(p: Point, colors: Sequence[Polytope], bounds: SemiringBounds =
     d = p.dim
     if len(colors) != d + 1:
         raise PreconditionError("need exactly d + 1 = %d color classes" % (d + 1))
+    choice: dict[int, int] = {}
     for i, cls in enumerate(colors):
         if cls.dim != d:
             raise PreconditionError("color %d has wrong dimension" % i)
-        if not hull_member(p, cls, bounds).member:
+        membership = hull_member(p, cls, bounds)
+        if not membership.member:
             raise PreconditionError("p is outside the hull of color %d" % i)
-    choice: dict[int, int] = {}
-    for i in index_set(p, bounds):
-        hit = _first_in_sector(SemispaceId(p, i), colors[i])
-        # p is in the hull of color i, so its sector i holds a generator
-        if hit is None:
-            raise AssertionError("sector %d of %s misses color %d; this is a bug" % (i, p, i))
-        choice[i] = hit
+        # the first generator of color i in sector i of p, when i is valid
+        if i in membership.witnesses:
+            choice[i] = membership.witnesses[i]
     selection = Polytope(tuple(colors[i].generators[k] for i, k in sorted(choice.items())))
     if not hull_member(p, selection, bounds).member:
         raise AssertionError("colorful selection lost the point; this is a bug")

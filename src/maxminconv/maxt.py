@@ -34,14 +34,16 @@ the q-th largest term with q = n - m0 + 1: a max-min Tukey depth (Tukey,
 projection gives the same lex-first witness as the search over every
 subset, in time polynomial in n.
 
-Positive results never rely on the search alone.  Each witness is
-certified once, on the search's integers: the principal coefficients of
-the grid point over every part or member must reproduce it with a unit
-coefficient, and those of a centerpoint must fill each attainment set
-with at least q points.  The coefficients travel with the witness, as
-Fractions, so a caller can re-check them by forward evaluation without
-running residuation again; the CLI does so under every norm, min
-included.
+Positive results never rely on the search alone.  Every question is
+one or more ``_common_point`` calls, and each certifies its witness
+once, on the search's integers: the principal coefficients of the grid
+point over every part or member must fill each attainment set, with at
+least q points for a centerpoint and one otherwise.  The projections
+and this certification take each norm's arithmetic from the same two
+helpers, ``_principal_levels`` and ``_terms``.  The coefficients travel
+with the witness, as Fractions, so a caller can re-check them by forward
+evaluation without running residuation again; the CLI does so under
+every norm, min included.
 """
 
 from __future__ import annotations
@@ -257,32 +259,39 @@ def _principal_levels(y: Encoded, gens: Sequence[Encoded], top: int, tag: str) -
     return ratios
 
 
+def _terms(lams: Sequence, col: Sequence[int], top: int, tag: str) -> list[int]:
+    """The terms T(lam_i, v_ij) of one coordinate j, on numerators.
+
+    ``lams`` are the principal coefficients of ``_principal_levels`` and
+    ``col`` the j-th numerators of the generators.  Under min and
+    Lukasiewicz the terms are exact integers; under product each is
+    rounded down.
+    """
+    if tag == MIN_TAG:
+        return [lam if lam < a else a for lam, a in zip(lams, col)]
+    if tag == LUKASIEWICZ_TAG:
+        return [t - top if (t := lam + a) > top else 0 for lam, a in zip(lams, col)]
+    return [num * a // den for (num, den), a in zip(lams, col)]
+
+
 def _project(
     y: Encoded, gens: Sequence[Encoded], top: int, tag: str, floor: Callable, rank: int = 1
 ) -> Encoded:
     """Rank-r projection of y onto the semimodule spanned by gens, floored.
 
     The principal solution (``_principal_levels``), then the r-th largest
-    of the terms T(lam_i, v_ij) over i, on numerators over the grid's
-    common denominator.  Rank 1 is max_i T(lam_i, v_ij), the greatest
-    point of the semimodule below y.  Rank r is the least of those
-    greatest points over every subset of len(gens) - r + 1 generators: a
-    subset's max misses at most the r - 1 largest terms.  Under min the
-    result is on the grid already; under Lukasiewicz and product only the
-    projected coordinates are floored onto the grid.
+    of the terms T(lam_i, v_ij) over i (``_terms``).  Rank 1 is
+    max_i T(lam_i, v_ij), the greatest point of the semimodule below y.
+    Rank r is the least of those greatest points over every subset of
+    len(gens) - r + 1 generators: a subset's max misses at most the
+    r - 1 largest terms.  Under min the result is on the grid already;
+    under Lukasiewicz and product it is floored onto the grid.
     """
     pick = max if rank == 1 else (lambda terms: sorted(terms, reverse=True)[rank - 1])
     lams = _principal_levels(y, gens, top, tag)
-    cols = zip(*gens)
     if tag == MIN_TAG:
-        return tuple(pick(min(lam, a) for lam, a in zip(lams, col)) for col in cols)
-    if tag == LUKASIEWICZ_TAG:
-        return tuple(
-            floor(max(0, pick(lam + a for lam, a in zip(lams, col)) - top)) for col in cols
-        )
-    return tuple(
-        floor(pick(num * a // den for (num, den), a in zip(lams, col))) for col in cols
-    )
+        return tuple(pick(_terms(lams, col, top, tag)) for col in zip(*gens))
+    return tuple(floor(pick(_terms(lams, col, top, tag))) for col in zip(*gens))
 
 
 def _attainment(
@@ -291,10 +300,12 @@ def _attainment(
     """Principal coefficients of grid point y over gens, and its attainment counts.
 
     y is a homogenized grid point (top, p).  The counts are the sizes of
-    A_0 = {i : lam_i = hi} and A_j = {i : T(lam_i, x_ij) = p_j}, decided
-    exactly on the search's integers; as T(lam_i, hi) = lam_i, A_0 is
-    the attainment set of coordinate 0.  Every term is at most y_j by
-    the principal solution, so p lies in the hull of gens exactly when
+    A_0 = {i : lam_i = hi} and A_j = {i : T(lam_i, x_ij) = p_j}, counted
+    among the terms of ``_terms``; as T(lam_i, hi) = lam_i, A_0 is the
+    attainment set of coordinate 0.  Every term is at most y_j by the
+    principal solution, so a product term rounded down equals the
+    integer y_j exactly when the term itself does, and the counts are
+    exact under every norm.  So p lies in the hull of gens exactly when
     every count is at least 1, and in the hull of every subset that
     leaves out fewer than k of them when every count is at least k.
     The coefficients are returned as the Fractions ``hull_member_maxt``
@@ -302,18 +313,7 @@ def _attainment(
     """
     top, tag = search.top, search.tnorm.tag
     lams = _principal_levels(y, gens, top, tag)
-    if tag == MIN_TAG:
-        def attains(lam, a, b):
-            return min(lam, a) == b
-    elif tag == LUKASIEWICZ_TAG:
-        def attains(lam, a, b):
-            return max(0, lam + a - top) == b
-    else:
-        def attains(lam, a, b):
-            return lam[0] * a == b * lam[1]
-    counts = tuple(
-        sum(attains(lam, v[j], b) for lam, v in zip(lams, gens)) for j, b in enumerate(y)
-    )
+    counts = tuple(_terms(lams, col, top, tag).count(b) for col, b in zip(zip(*gens), y))
     if tag == PRODUCT_TAG:
         coefficients = tuple(Fraction(num, den) for num, den in lams)
     else:
@@ -321,59 +321,32 @@ def _attainment(
     return coefficients, counts
 
 
-def _point(search: _Search, y: Encoded) -> Point:
-    """The point of homogenized grid point y."""
-    return Point(tuple(Fraction(e, search.denom) for e in y[1:]))
-
-
-def _greatest_common_point(
-    groups: Sequence[Sequence[Encoded]],
-    y: Encoded,
-    top: int,
-    tag: str,
-    floor: Callable,
-    rank: int = 1,
-) -> Encoded | None:
-    """Greatest homogenized grid point below y in every group's semimodule.
-
-    Cycles the floored projections from y until a whole round leaves y
-    fixed (Gaubert & Sergeev's cyclic projectors).  A common grid point
-    q below y stays below every iterate, as q = P(q) <= P(y) and q is on
-    the grid; the iterates only decrease on a finite grid, so the loop
-    ends, and at the end P(y) = y for every group.  A floored projection
-    need not be idempotent, so a change restarts the round count from 0.
-    With rank r each projection is the rank-r one, and the semimodules
-    are those of every subset of len(group) - r + 1 members of a group.
-    Returns None as soon as coordinate 0 drops below top: no homogenized
-    hull point lies below y then.
-    """
-    unchanged = 0
-    i = 0
-    while unchanged < len(groups):
-        z = _project(y, groups[i], top, tag, floor, rank)
-        if z[0] != top:
-            return None
-        unchanged = unchanged + 1 if z == y else 0
-        y = z
-        i = (i + 1) % len(groups)
-    return y
-
-
 def _lex_first(
     search: _Search, groups: Sequence[Sequence[Encoded]], rank: int = 1
 ) -> Encoded | None:
     """Lex-first grid point in every hull, homogenized, by floored cyclic projections.
 
-    Generator x is encoded as (top, x).  The hulls share a grid point
-    iff the greatest common grid point of these semimodules has
+    Generator x is encoded as (top, x).  ``greatest(y)`` is the greatest
+    homogenized grid point below y in every group's semimodule, or None:
+    it cycles the floored projections from y until a whole round leaves
+    y fixed (Gaubert & Sergeev's cyclic projectors).  A common grid
+    point q below y stays below every iterate, as q = P(q) <= P(y) and q
+    is on the grid; the iterates only decrease on a finite grid, so the
+    loop ends, and at the end P(y) = y for every group.  A floored
+    projection need not be idempotent, so a change restarts the round
+    count from 0.  It returns None as soon as coordinate 0 drops below
+    top: no homogenized hull point lies below y then.
+
+    The hulls share a grid point iff ``greatest`` of the top vector has
     coordinate 0 at top.  Coordinate by coordinate, a binary search
     finds the smallest cap x_j <= v that keeps a common grid point; the
     greatest point under the final caps is the caps themselves, the
     lex-first witness.  Each run starts from the last greatest point
     with the cap applied: the iterates only decrease, so the cap holds
     throughout and the run ends at the greatest point under the new
-    caps.  That takes O(d log k) runs.  With rank r the hulls are those
-    of every subset of len(group) - r + 1 members of a group.
+    caps.  That takes O(d log k) runs.  With rank r each projection is
+    the rank-r one, and the hulls are those of every subset of
+    len(group) - r + 1 members of a group.
     """
     levels, top, tag = search.levels, search.top, search.tnorm.tag
 
@@ -381,7 +354,15 @@ def _lex_first(
         return levels[bisect_right(levels, x) - 1]
 
     def greatest(y: Encoded) -> Encoded | None:
-        return _greatest_common_point(groups, y, top, tag, floor, rank)
+        unchanged = i = 0
+        while unchanged < len(groups):
+            z = _project(y, groups[i], top, tag, floor, rank)
+            if z[0] != top:
+                return None
+            unchanged = unchanged + 1 if z == y else 0
+            y = z
+            i = (i + 1) % len(groups)
+        return y
 
     d = len(groups[0][0]) - 1
     y = greatest((top,) * (d + 1))
@@ -405,15 +386,19 @@ def _boxes_apart(groups: Sequence[Sequence[Encoded]]) -> bool:
     return any(max(map(min, c)) > min(map(max, c)) for c in zip(*columns))
 
 
-def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> CommonWitness | None:
+def _common_point(
+    search: _Search, groups: Sequence[Sequence[int]], rank: int = 1
+) -> CommonWitness | None:
     """Lex-first grid point lying in the hull of every group, or None.
 
     Each group is a tuple of point indices.  One search for every norm:
     floored cyclic projections onto the homogenized hulls
-    (``_lex_first``).  A hit is certified on the search's integers
-    before it is returned: over each group its principal coefficients
-    must reproduce it with a unit coefficient (``_attainment``).  They
-    are returned with it, one tuple per group.
+    (``_lex_first``).  With rank r the hulls are those of every subset
+    of len(group) - r + 1 members of a group.  A hit is certified on the
+    search's integers before it is returned: over each group every
+    attainment count of its principal coefficients must be at least r
+    (``_attainment``); with r = 1 they reproduce it with a unit
+    coefficient.  They are returned with it, one tuple per group.
 
     With three or more groups a box test comes first.  A max-T
     combination with a unit coefficient lies in the coordinatewise
@@ -427,16 +412,17 @@ def _common_point(search: _Search, groups: Sequence[Sequence[int]]) -> CommonWit
     gens = [[search.gens[i] for i in g] for g in groups]
     if len(gens) > 2 and _boxes_apart(gens):
         return None
-    y = _lex_first(search, gens)
+    y = _lex_first(search, gens, rank)
     if y is None:
         return None
     coefficients = []
     for g in gens:
         lams, counts = _attainment(search, g, y)
-        if min(counts) < 1:
+        if min(counts) < rank:
             raise AssertionError("search witness failed exact re-verification")
         coefficients.append(lams)
-    return CommonWitness(point=_point(search, y), coefficients=tuple(coefficients))
+    point = Point(tuple(Fraction(e, search.denom) for e in y[1:]))
+    return CommonWitness(point=point, coefficients=tuple(coefficients))
 
 
 def _grid_text(search: _Search) -> str:
@@ -555,10 +541,11 @@ def centerpoint(
     q = n - m0 + 1.  The principal coefficients of a point do not depend
     on the subset, so the least projection onto those hulls is one
     rank-q projection onto all n points, and one search with rank q
-    gives the lex-first grid point in every m0-subset hull.  The witness
-    is certified by its attainment counts over all n points, on the
-    search's integers: each must be at least q.  It is returned with its
-    principal coefficients.
+    gives the lex-first grid point in every m0-subset hull
+    (``_common_point`` with rank q and the one group of all n points).
+    The witness is certified by its attainment counts over all n points,
+    on the search's integers: each must be at least q.  It is returned
+    with its principal coefficients.
     """
     pts = list(points)
     _validate(pts, tnorm)
@@ -566,13 +553,10 @@ def centerpoint(
     n = len(pts)
     q = n - (d * n) // (d + 1)
     search = _search(pts, tnorm, grid_step)
-    y = _lex_first(search, [search.gens], rank=q)
-    if y is None:
+    hit = _common_point(search, [range(n)], q)
+    if hit is None:
         raise _miss(search, "centerpoint")
-    lams, counts = _attainment(search, search.gens, y)
-    if min(counts) < q:
-        raise AssertionError("search witness failed exact re-verification")
-    return CenterpointWitness(point=_point(search, y), coefficients=lams)
+    return CenterpointWitness(point=hit.point, coefficients=hit.coefficients[0])
 
 
 def _is_prime_power(r: int) -> bool:

@@ -1,7 +1,9 @@
 """CLI plumbing: exit codes, JSON documents, verification blocks, overrides."""
 
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -542,6 +544,16 @@ def test_separate_hyperplane_off_diagonal(capsys, instance_path):
     assert doc["outcome"]["type"] == "NotOnDiagonal"
 
 
+def test_separate_hyperplane_point_in_hull(capsys, instance_path):
+    """(4/5, 4/5) lies in the hull of X: the sector witnesses are its generators."""
+    code, doc, _ = run_json(
+        capsys, "separate-hyperplane", instance_path, "--point", "onhull", "--polytope", "X"
+    )
+    assert code == 2
+    assert doc["outcome"]["type"] == "PointInHull"
+    assert doc["outcome"]["witnesses"] == {"0": 0, "1": 1, "2": 0}
+
+
 def test_helly_counterexample(capsys, instance_path):
     code, doc, _ = run_json(capsys, "helly", instance_path, "--family", "apart")
     assert code == 2
@@ -633,6 +645,64 @@ def test_radon_miss_names_its_grid(capsys, tmp_path):
     assert outcome["grid_step"] == "1/2"
     assert outcome["grid_size"] == 10
     assert "10 values per coordinate, step 1/2" in outcome["message"]
+
+
+PRODUCT_FAMILY = {
+    "A": [["3/5", "1/5"], ["4/5", "2/5"], ["2/5", "1"]],
+    "B": [["0", "1"], ["4/5", "3/5"], ["0", "0"]],
+    "C": [["1", "4/5"], ["1", "2/5"], ["0", "0"]],
+    "D": [["4/5", "4/5"], ["0", "1/5"], ["3/5", "1/5"]],
+}
+
+
+def test_product_helly_miss_when_every_subfamily_meets(capsys, tmp_path):
+    """A product family whose 3-subfamilies meet on the 1/4 grid, while it does not.
+
+    No subfamily is a counterexample there, so the family-wide miss is
+    the grid's: the CLI exits 2 with ResolutionExhausted and names the
+    grid.  The default grid holds a common point.
+    """
+    triples = {"".join(t): list(t) for t in itertools.combinations("ABCD", 3)}
+    doc_in = {"schema": 1, "tnorm": "product", "polytopes": PRODUCT_FAMILY,
+              "families": {"F": list("ABCD"), **triples}}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc_in))
+    for name in triples:
+        code, doc, _ = run_json(capsys, "helly", str(path), "--family", name, "--grid-step", "1/4")
+        assert code == 0, name
+    code, doc, _ = run_json(capsys, "helly", str(path), "--family", "F", "--grid-step", "1/4")
+    assert code == 2
+    outcome = doc["outcome"]
+    assert outcome["type"] == "ResolutionExhausted"
+    assert (outcome["grid_step"], outcome["grid_size"]) == ("1/4", 9)
+    code, doc, _ = run_json(capsys, "helly", str(path), "--family", "F")
+    assert code == 0
+    assert doc["result"]["witness"] == ["3/5", "9/20"]
+
+
+def test_lukasiewicz_centerpoint_miss_off_its_lattice(capsys, tmp_path):
+    """A Lukasiewicz centerpoint that only the grid of sevenths holds.
+
+    Lukasiewicz arithmetic keeps numerators over the inputs' common
+    denominator 7 integral, so the 1/7 grid is the exact lattice that
+    ROADMAP.md item 2 proposes to search.  It holds the centerpoint
+    (4/7, 5/7); the 1/4 grid and the default 1/100 grid miss, and the
+    CLI exits 2 with ResolutionExhausted.
+    """
+    doc_in = {"schema": 1, "tnorm": "lukasiewicz", "pointsets": {
+        "S": [["3/7", "0"], ["2/7", "5/7"], ["6/7", "0"], ["5/7", "6/7"]]}}
+    path = tmp_path / "sevenths.json"
+    path.write_text(json.dumps(doc_in))
+    for step in (["--grid-step", "1/4"], []):
+        code, doc, _ = run_json(capsys, "centerpoint", str(path), "--pointset", "S", *step)
+        assert code == 2
+        assert doc["outcome"]["type"] == "ResolutionExhausted"
+        assert doc["outcome"]["grid_step"] == (step[1] if step else "1/100")
+    code, doc, _ = run_json(
+        capsys, "centerpoint", str(path), "--pointset", "S", "--grid-step", "1/7"
+    )
+    assert code == 0
+    assert doc["result"]["centerpoint"] == ["4/7", "5/7"]
 
 
 def test_internal_error_is_a_document(capsys, intervals_path, monkeypatch):
@@ -1127,3 +1197,61 @@ def test_render_semispaces_figure(capsys, instance_path):
     )
     assert code == 0
     assert out.startswith("<svg")
+
+
+def _svg_value(canvas_px: str, axis: int) -> Fraction:
+    """The carrier value of a pixel coordinate on the unit square."""
+    from maxminconv.render import INNER, MARGIN, SIZE
+
+    px = Fraction(canvas_px)
+    return (px - MARGIN if axis == 0 else SIZE - MARGIN - px) / INNER
+
+
+@pytest.mark.parametrize("anchor", [("1/4", "3/4"), ("3/4", "1/4")])
+def test_render_semispaces_regions_hold_their_semispace(capsys, tmp_path, anchor):
+    """Off the diagonal each region group covers exactly its semispace.
+
+    The regions are read back from the SVG and sampled on a grid that
+    avoids the anchor's lines: a sample lies in some region of index i
+    exactly when it lies in the semispace of index i.  The two anchors
+    put the other coordinate in the tail of index 2 and of index 1.
+    """
+    from maxminconv.geometry import point
+    from maxminconv.semispaces import SemispaceId, semispace_contains
+
+    path = tmp_path / "anchor.json"
+    path.write_text(json.dumps({"schema": 1, "points": {"p": list(anchor)}}))
+    code, out, _ = run(capsys, "render", str(path), "--figure", "semispaces", "--point", "p")
+    assert code == 0
+    groups = re.findall(r'<g class="semispace" data-index="(\d+)">(.*?)</g>', out, re.S)
+    assert [int(i) for i, _ in groups] == [0, 1, 2]
+    p = point(*anchor)
+    samples = [point(Fraction(a, 32), Fraction(b, 32)) for a in range(1, 32, 2)
+               for b in range(1, 32, 2)]
+    for index, body in groups:
+        rects = []
+        for coords in re.findall(r'<polygon points="([^"]*)"', body):
+            corners = [c.split(",") for c in coords.split()]
+            xs = [_svg_value(x, 0) for x, _ in corners]
+            ys = [_svg_value(y, 1) for _, y in corners]
+            rects.append((min(xs), max(xs), min(ys), max(ys)))
+        s = SemispaceId(p, int(index))
+        for q in samples:
+            drawn = any(x0 < q[0] < x1 and y0 < q[1] < y1 for x0, x1, y0, y1 in rects)
+            assert drawn == semispace_contains(s, q), (index, q)
+
+
+def test_render_segment_marks_the_corner_of_incomparable_endpoints(capsys, instance_path):
+    """Incomparable endpoints get the corner m = x v y drawn as a dot; comparable ones do not."""
+    code, out, _ = run(
+        capsys, "render", instance_path, "--figure", "segment", "--x", "x", "--y", "outside"
+    )
+    assert code == 0
+    # m = (9/10, 1/2) on the 512 px canvas
+    assert '<circle cx="448.000" cy="256.000" r="3" fill="#777777"/>' in out
+    assert ">m</text>" in out
+    code, out, _ = run(
+        capsys, "render", instance_path, "--figure", "segment", "--x", "x", "--y", "y"
+    )
+    assert code == 0
+    assert ">m</text>" not in out
