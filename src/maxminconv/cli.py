@@ -6,6 +6,13 @@ document.  Positive results carry a verification block in which each
 claim is re-checked by an independent predicate before emission; a
 failed re-check turns the run into an error instead of output.
 
+Each instance subcommand is one ``_COMMANDS`` entry: its handler, help
+text, options and whether it is specific to min arithmetic.  ``main``
+refuses another t-norm for the min-only ones right after loading the
+instance.  Handlers return library values (Fractions, points,
+semispaces, tuples, dicts with int keys), and ``main`` formats each
+document once with ``_fmt``.
+
 Exit codes, stable for scripting:
 
     0   a verified determination, including boolean "no" answers
@@ -107,25 +114,23 @@ EXIT_NEGATIVE = 2
 
 
 def _fmt(x: Any) -> Any:
+    """A library value as JSON data: exact numbers become strings.
+
+    Sets are refused, so that no document's order depends on hashing.
+    """
     if isinstance(x, Fraction):
         return format_value(x)
     if isinstance(x, Point):
         return [format_value(c) for c in x.coords]
-    if isinstance(x, (bool, int, str)) or x is None:
+    if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     if isinstance(x, (list, tuple)):
         return [_fmt(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _fmt(v) for k, v in x.items()}
+    if isinstance(x, SemispaceId):
+        return {"anchor": _fmt(x.anchor), "index": x.index, "tail": list(x.tail())}
     raise TypeError("cannot serialize %r" % (x,))
-
-
-def _fmt_semispace(s: SemispaceId) -> dict[str, Any]:
-    return {
-        "anchor": _fmt(s.anchor),
-        "index": s.index,
-        "tail": list(s.tail()),
-    }
 
 
 class Verifier:
@@ -166,23 +171,13 @@ class Negative(Exception):
 def _load(args: argparse.Namespace) -> Instance:
     with open(args.instance, "r", encoding="utf-8") as fh:
         raw = parse_raw(fh.read())
-    if getattr(args, "tnorm", None):
+    if args.tnorm:
         raw["tnorm"] = args.tnorm
-    if getattr(args, "bounds", None):
+    if args.bounds:
         raw["bounds"] = list(args.bounds)
-    if getattr(args, "grid_step", None):
+    if args.grid_step:
         raw["grid_step"] = args.grid_step
     return instance_from_dict(raw)
-
-
-def _min_only(inst: Instance, command: str) -> SemiringBounds:
-    if not inst.tnorm.is_min:
-        raise PreconditionError(
-            "%s is specific to min arithmetic; drop tnorm=%r or use the "
-            "max-T subcommands (radon, helly, centerpoint, tverberg)"
-            % (command, inst.tnorm.tag)
-        )
-    return inst.bounds
 
 
 def _maxt_member(q: Point, gens: Sequence[Point], tnorm: TNorm) -> bool:
@@ -223,7 +218,7 @@ def _certified(
 
 
 def _cmd_segment(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "segment")
+    bounds = inst.bounds
     x: Point = inst.lookup("points", args.x)
     y: Point = inst.lookup("points", args.y)
     dec = segment_decompose(x, y, bounds)
@@ -249,14 +244,14 @@ def _cmd_segment(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dic
         len(elementary) <= max(limit, 0),
         detail={"count": len(elementary), "bound": limit},
     )
-    result = {
+    return {
         "mode": dec.mode,
-        "corner": _fmt(dec.corner) if dec.corner is not None else None,
+        "corner": dec.corner,
         "pieces": [
             {
-                "beta": [_fmt(p.beta_lo), _fmt(p.beta_hi)],
-                "start": _fmt(p.start),
-                "end": _fmt(p.end),
+                "beta": (p.beta_lo, p.beta_hi),
+                "start": p.start,
+                "end": p.end,
                 "moving": sorted(p.m_indices),
                 "low": sorted(p.l_indices),
                 "high": sorted(p.h_indices),
@@ -264,16 +259,14 @@ def _cmd_segment(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dic
             for p in dec.pieces
         ],
         "elementary": [
-            {"start": _fmt(a), "end": _fmt(b), "moving": sorted(m)}
-            for a, b, m in elementary
+            {"start": a, "end": b, "moving": sorted(m)} for a, b, m in elementary
         ],
-        "chain": [_fmt(q) for q in dec.corner_chain()],
+        "chain": dec.corner_chain(),
     }
-    return result
 
 
 def _cmd_distance(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "distance")
+    bounds = inst.bounds
     x: Point = inst.lookup("points", args.x)
     y: Point = inst.lookup("points", args.y)
     dec = segment_decompose(x, y, bounds)
@@ -292,19 +285,16 @@ def _cmd_distance(inst: Instance, args: argparse.Namespace, ver: Verifier) -> di
         )
         total = total + RadicalSum.term(step, len(moving))
     ver.check("chain length matches", total == dist)
-    lo, hi = dist.rational_bounds()
     return {
         "radical_sum": str(dist),
-        "terms": [
-            {"coefficient": _fmt(c), "radicand": r} for r, c in dist.terms
-        ],
-        "value_interval": [_fmt(lo), _fmt(hi)],
-        "value_float": float(dist.to_float()),
+        "terms": [{"coefficient": c, "radicand": r} for r, c in dist.terms],
+        "value_interval": dist.rational_bounds(),
+        "value_float": dist.to_float(),
     }
 
 
 def _cmd_semispaces(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "semispaces")
+    bounds = inst.bounds
     p: Point = inst.lookup("points", args.point)
     family = semispace_family(p, bounds)
     for s in family:
@@ -312,11 +302,7 @@ def _cmd_semispaces(inst: Instance, args: argparse.Namespace, ver: Verifier) -> 
             "index %d: anchor outside, sector holds it" % s.index,
             sector_contains(s, p) and not semispace_contains(s, p),
         )
-    return {
-        "anchor": _fmt(p),
-        "valid_indices": list(index_set(p, bounds)),
-        "semispaces": [_fmt_semispace(s) for s in family],
-    }
+    return {"anchor": p, "valid_indices": index_set(p, bounds), "semispaces": family}
 
 
 def _cmd_hull_member(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
@@ -344,7 +330,7 @@ def _cmd_hull_member(inst: Instance, args: argparse.Namespace, ver: Verifier) ->
             )
         return {
             "member": res.member,
-            "witnesses": _fmt(res.witnesses),
+            "witnesses": res.witnesses,
             "separating_index": res.separating_index,
         }
     res2 = hull_member_maxt(p, c, inst.tnorm)
@@ -353,46 +339,38 @@ def _cmd_hull_member(inst: Instance, args: argparse.Namespace, ver: Verifier) ->
     ver.check("membership reproducible", certified == res2.member)
     return {
         "member": res2.member,
-        "coefficients": _fmt(res2.coefficients),
-        "combination": _fmt(res2.combination),
+        "coefficients": res2.coefficients,
+        "combination": res2.combination,
     }
 
 
 def _cmd_caratheodory(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "caratheodory")
     p: Point = inst.lookup("points", args.point)
     c: Polytope = inst.lookup("polytopes", args.polytope)
-    reduced, indices = caratheodory_reduce(p, c, bounds)
+    reduced, indices = caratheodory_reduce(p, c, inst.bounds)
     d = p.dim
     ver.check("at most d + 1 generators kept", len(indices) <= d + 1)
     ver.check(
         "point still in the reduced hull",
         hull_member_maxt(p, reduced, inst.tnorm).member,
     )
-    return {
-        "kept_indices": list(indices),
-        "kept_generators": [_fmt(g) for g in reduced.generators],
-    }
+    return {"kept_indices": indices, "kept_generators": reduced.generators}
 
 
 def _cmd_colorful_weak(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "colorful-weak")
     p: Point = inst.lookup("points", args.point)
     colors = inst.lookup("colorings", args.coloring)
-    choice = colorful_weak(p, colors, bounds)
+    choice = colorful_weak(p, colors, inst.bounds)
     selected = [colors[i].generators[g] for i, g in sorted(choice.items())]
     ver.check(
         "point in the hull of the selection",
         _maxt_member(p, selected, inst.tnorm),
     )
-    return {
-        "choice": _fmt(choice),
-        "selected": [_fmt(g) for g in selected],
-    }
+    return {"choice": choice, "selected": selected}
 
 
 def _cmd_colorful_strong(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "colorful-strong")
+    bounds = inst.bounds
     c: Polytope = inst.lookup("polytopes", args.polytope)
     colors = inst.lookup("colorings", args.coloring)
     res = colorful_strong(c, colors, bounds)
@@ -410,38 +388,36 @@ def _cmd_colorful_strong(inst: Instance, args: argparse.Namespace, ver: Verifier
             hull_member(q, c, bounds).member and hull_member(q, colors[i], bounds).member,
         )
     return {
-        "witness": _fmt(res.witness),
-        "choice": _fmt(res.choice),
-        "selected": [_fmt(g) for g in selected],
-        "meeting_points": [_fmt(q) for q in res.meeting_points],
-        "sector_assignment": _fmt(res.assignment),
+        "witness": res.witness,
+        "choice": res.choice,
+        "selected": selected,
+        "meeting_points": res.meeting_points,
+        "sector_assignment": res.assignment,
         "used_extended_bounds": res.extended,
     }
 
 
 def _cmd_separate_point(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "separate-point")
     p: Point = inst.lookup("points", args.point)
     c: Polytope = inst.lookup("polytopes", args.polytope)
-    out = separate_point(p, c, bounds)
+    out = separate_point(p, c, inst.bounds)
     if isinstance(out, PointInHull):
         raise Negative(
             "PointInHull",
             "the point lies in the hull; no separating semispace exists",
-            {"witnesses": _fmt(out.membership.witnesses)},
+            {"witnesses": out.membership.witnesses},
         )
     ver.check(
         "semispace holds every generator",
         all(semispace_contains(out, g) for g in c.generators),
     )
     ver.check("point stays outside", not semispace_contains(out, p))
-    return {"semispace": _fmt_semispace(out)}
+    return {"semispace": out}
 
 
-def _fmt_blockers(out: NonSeparable) -> list[dict[str, Any]]:
+def _blockers(out: NonSeparable) -> list[dict[str, Any]]:
     return [
-        {"index": i, "semispace": None if s is None else _fmt_semispace(s), "generator": n}
-        for i, (s, n) in enumerate(out.blockers)
+        {"index": i, "semispace": s, "generator": n} for i, (s, n) in enumerate(out.blockers)
     ]
 
 
@@ -471,14 +447,14 @@ def _blocked(b: Box, c: Polytope, out: NonSeparable, bounds: SemiringBounds) -> 
 
 
 def _cmd_separate_box(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "separate-box")
+    bounds = inst.bounds
     b = inst.lookup("boxes", args.box)
     c: Polytope = inst.lookup("polytopes", args.polytope)
     out = separate_box(b, c, bounds)
     if isinstance(out, NonSeparable):
         if not _blocked(b, c, out, bounds):
             raise AssertionError("non-separability certificate fails its re-check; this is a bug")
-        raise Negative("NonSeparable", out.reason, {"blockers": _fmt_blockers(out)})
+        raise Negative("NonSeparable", out.reason, {"blockers": _blockers(out)})
     ver.check(
         "semispace holds every generator",
         all(semispace_contains(out, g) for g in c.generators),
@@ -487,41 +463,40 @@ def _cmd_separate_box(inst: Instance, args: argparse.Namespace, ver: Verifier) -
         "box inside the complementary sector",
         sector_contains_box(out, b.lower, b.upper),
     )
-    return {"semispace": _fmt_semispace(out)}
+    return {"semispace": out}
 
 
 def _cmd_sep_condition(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "sep-condition")
+    bounds = inst.bounds
     b = inst.lookup("boxes", args.box)
     c: Polytope = inst.lookup("polytopes", args.polytope)
     out = separate_box(b, c, bounds)
     if not isinstance(out, NonSeparable):
         return {"condition_holds": True, "violation": None}
     ver.check("every semispace index is blocked", _blocked(b, c, out, bounds))
-    return {"condition_holds": False, "violation": _fmt_blockers(out)}
+    return {"condition_holds": False, "violation": _blockers(out)}
 
 
 def _cmd_separate_hyperplane(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "separate-hyperplane")
     p: Point = inst.lookup("points", args.point)
     c: Polytope = inst.lookup("polytopes", args.polytope)
-    out = separate_by_hyperplane(p, c, bounds)
+    out = separate_by_hyperplane(p, c, inst.bounds)
     if isinstance(out, PointInHull):
         raise Negative(
             "PointInHull",
             "the point lies in the hull; no separating hyperplane exists",
-            {"witnesses": _fmt(out.membership.witnesses)},
+            {"witnesses": out.membership.witnesses},
         )
     ver.check(
         "every generator solves the hyperplane equation",
         all(hyperplane_contains(out, g) for g in c.generators),
     )
     ver.check("the point does not", not hyperplane_contains(out, p))
-    return {"a": _fmt(out.a), "b": _fmt(out.b)}
+    return {"a": out.a, "b": out.b}
 
 
 def _cmd_intsep(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    bounds = _min_only(inst, "intsep")
+    bounds = inst.bounds
     pts = inst.lookup("pointsets", args.pointset)
     if args.sorted:
         witness, assignment = intsep_sorted(pts, bounds)
@@ -539,11 +514,10 @@ def _cmd_intsep(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict
             for i, s in assignment.items()
         ),
     )
-    return {"witness": _fmt(witness), "assignment": _fmt(assignment)}
+    return {"witness": witness, "assignment": assignment}
 
 
 def _cmd_tight_diagram(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
-    _min_only(inst, "tight-diagram")
     a: Matrix = inst.lookup("matrices", args.matrix)
     diagram = tight_diagram(a)
     try:
@@ -559,12 +533,12 @@ def _cmd_tight_diagram(inst: Instance, args: argparse.Namespace, ver: Verifier) 
             diagram.t == oracle.brute_bottleneck(a.rows),
         )
     return {
-        "t": _fmt(diagram.t),
-        "m1_rows": list(diagram.m1_rows),
-        "m2_rows": list(diagram.m2_rows),
-        "n1_cols": list(diagram.n1_cols),
-        "n2_cols": list(diagram.n2_cols),
-        "pi": [list(pair) for pair in diagram.pi],
+        "t": diagram.t,
+        "m1_rows": diagram.m1_rows,
+        "m2_rows": diagram.m2_rows,
+        "n1_cols": diagram.n1_cols,
+        "n2_cols": diagram.n2_cols,
+        "pi": diagram.pi,
         "free_row": diagram.free_row,
     }
 
@@ -581,11 +555,7 @@ def _cmd_radon(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
             "witness in the hull of part %d" % k,
             _certified(res.witness, [pts[i] for i in part], lams, inst.tnorm),
         )
-    return {
-        "part1": list(res.part1),
-        "part2": list(res.part2),
-        "witness": _fmt(res.witness),
-    }
+    return {"part1": res.part1, "part2": res.part2, "witness": res.witness}
 
 
 def _cmd_helly(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
@@ -597,13 +567,13 @@ def _cmd_helly(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
                 "witness in member %d" % k,
                 _certified(out.point, poly.generators, lams, inst.tnorm),
             )
-        return {"witness": _fmt(out.point)}
+        return {"witness": out.point}
     raise Negative(
         "CounterexampleSubfamily",
         "the intersection hypothesis fails: members %s share no grid point"
         % (list(out.indices),),
-        {"indices": list(out.indices), "exact": out.grid_step is None,
-         "grid_step": _fmt(out.grid_step), "grid_size": out.grid_size},
+        {"indices": out.indices, "exact": out.grid_step is None,
+         "grid_step": out.grid_step, "grid_size": out.grid_size},
     )
 
 
@@ -620,7 +590,7 @@ def _cmd_centerpoint(inst: Instance, args: argparse.Namespace, ver: Verifier) ->
         % (m0, math.comb(n, m0)),
         inside,
     )
-    return {"centerpoint": _fmt(res.point), "subset_size": m0}
+    return {"centerpoint": res.point, "subset_size": m0}
 
 
 def _cmd_tverberg(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
@@ -636,10 +606,7 @@ def _cmd_tverberg(inst: Instance, args: argparse.Namespace, ver: Verifier) -> di
             "witness in the hull of part %d" % k,
             _certified(res.witness, [pts[i] for i in part], lams, inst.tnorm),
         )
-    return {
-        "parts": [list(part) for part in res.parts],
-        "witness": _fmt(res.witness),
-    }
+    return {"parts": res.parts, "witness": res.witness}
 
 
 def _cmd_render(inst: Instance, args: argparse.Namespace, ver: Verifier) -> dict:
@@ -691,7 +658,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, int]:
         )
         counts["hull"] += 1
         if mine != ref:
-            failures.append({"op": "hull", "p": _fmt(p), "generators": _fmt(gens)})
+            failures.append({"op": "hull", "p": p, "generators": gens})
 
     for _ in range(max(1, args.trials // 2)):
         d = rng.choice([1, 2, 3])
@@ -703,7 +670,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, int]:
         ok = ok and all(q in sampled for q in chain)
         counts["segment"] += 1
         if not ok:
-            failures.append({"op": "segment", "x": _fmt(x), "y": _fmt(y)})
+            failures.append({"op": "segment", "x": x, "y": y})
 
     for _ in range(max(1, args.trials // 2)):
         d = rng.choice([1, 2, 3, 4])
@@ -712,7 +679,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, int]:
         ref_t = oracle.brute_bottleneck(rows)
         counts["bottleneck"] += 1
         if mine_t != ref_t:
-            failures.append({"op": "bottleneck", "rows": _fmt(rows)})
+            failures.append({"op": "bottleneck", "rows": rows})
 
     doc = {
         "command": "oracle-check",
@@ -729,14 +696,55 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("instance", help="path to a JSON instance file")
-    sp.add_argument("--tnorm", choices=("min", "product", "lukasiewicz"),
-                    help="override the instance t-norm")
-    sp.add_argument("--bounds", nargs=2, metavar=("LO", "HI"),
-                    help="override the carrier bounds")
-    sp.add_argument("--grid-step", dest="grid_step", metavar="P/Q",
-                    help="override the witness grid refinement step")
+# name -> (handler, help, options, min_only).  Every entry also takes the
+# instance path and the --tnorm, --bounds and --grid-step overrides.  An
+# option names an instance object unless _OPTION_KEYWORDS gives it other
+# argparse keywords; options are added in the listed order.  A min_only
+# command refuses every other t-norm right after its instance loads.
+_COMMANDS: dict[str, tuple[Callable, str, tuple[str, ...], bool]] = {
+    "segment": (_cmd_segment, "piecewise decomposition of a segment", ("x", "y"), True),
+    "distance": (_cmd_distance, "geodesic length of a segment", ("x", "y"), True),
+    "semispaces": (_cmd_semispaces, "the semispace family at a point", ("point",), True),
+    "hull-member": (_cmd_hull_member, "hull membership test", ("point", "polytope"), False),
+    "caratheodory": (_cmd_caratheodory, "reduce to at most d+1 generators",
+                     ("point", "polytope"), True),
+    "colorful-weak": (_cmd_colorful_weak, "one generator per color, hull keeps the point",
+                      ("point", "coloring"), True),
+    "colorful-strong": (_cmd_colorful_strong, "colorful selection meeting conv(C)",
+                        ("polytope", "coloring"), True),
+    "separate-point": (_cmd_separate_point, "semispace separating a point from a hull",
+                       ("point", "polytope"), True),
+    "separate-box": (_cmd_separate_box, "semispace separating a box from a hull",
+                     ("box", "polytope"), True),
+    "sep-condition": (_cmd_sep_condition, "test the box separation criterion",
+                      ("box", "polytope"), True),
+    "separate-hyperplane": (_cmd_separate_hyperplane,
+                            "hyperplane through the hull avoiding a diagonal point",
+                            ("point", "polytope"), True),
+    "intsep": (_cmd_intsep, "internal separation of d+1 points", ("pointset", "sorted"), True),
+    "tight-diagram": (_cmd_tight_diagram, "tight covering diagram of a matrix",
+                      ("matrix",), True),
+    "radon": (_cmd_radon, "two disjoint parts with intersecting hulls", ("pointset",), False),
+    "helly": (_cmd_helly, "find a common point of the family; "
+              "on a miss, name the first (d+1)-subfamily without one", ("family",), False),
+    "centerpoint": (_cmd_centerpoint, "point in every large subset's hull",
+                    ("pointset",), False),
+    "tverberg": (_cmd_tverberg, "r disjoint parts with a common hull point",
+                 ("pointset", "r"), False),
+    "render": (_cmd_render, "draw a planar figure as SVG",
+               ("figure", "x", "y", "point", "hyperplane", "svg"), False),
+}
+
+_OPTION_KEYWORDS: dict[str, dict[str, Any]] = {
+    "x": {"help": "first endpoint name"},
+    "y": {"help": "second endpoint name"},
+    "sorted": {"action": "store_true",
+               "help": "use the one-pass variant for coordinatewise non-increasing rows"},
+    "r": {"type": int, "required": True, "help": "number of parts"},
+    "figure": {"choices": ("segment", "semispaces", "hyperplane", "overview"),
+               "default": "overview"},
+    "svg": {"metavar": "PATH", "help": "write the figure here instead of stdout"},
+}
 
 
 @functools.cache
@@ -755,87 +763,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     handlers: dict[str, Callable] = {}
-
-    def add(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
+    for name, (handler, help_text, options, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
+        sp.add_argument("instance", help="path to a JSON instance file")
+        sp.add_argument("--tnorm", choices=("min", "product", "lukasiewicz"),
+                        help="override the instance t-norm")
+        sp.add_argument("--bounds", nargs=2, metavar=("LO", "HI"),
+                        help="override the carrier bounds")
+        sp.add_argument("--grid-step", metavar="P/Q",
+                        help="override the witness grid refinement step")
+        for option in options:
+            sp.add_argument("--" + option, **_OPTION_KEYWORDS.get(option, {}))
         handlers[name] = handler
-        return sp
-
-    sp = add("segment", _cmd_segment, "piecewise decomposition of a segment")
-    sp.add_argument("--x", help="first endpoint name")
-    sp.add_argument("--y", help="second endpoint name")
-
-    sp = add("distance", _cmd_distance, "geodesic length of a segment")
-    sp.add_argument("--x")
-    sp.add_argument("--y")
-
-    sp = add("semispaces", _cmd_semispaces, "the semispace family at a point")
-    sp.add_argument("--point")
-
-    sp = add("hull-member", _cmd_hull_member, "hull membership test")
-    sp.add_argument("--point")
-    sp.add_argument("--polytope")
-
-    sp = add("caratheodory", _cmd_caratheodory, "reduce to at most d+1 generators")
-    sp.add_argument("--point")
-    sp.add_argument("--polytope")
-
-    sp = add("colorful-weak", _cmd_colorful_weak, "one generator per color, hull keeps the point")
-    sp.add_argument("--point")
-    sp.add_argument("--coloring")
-
-    sp = add("colorful-strong", _cmd_colorful_strong, "colorful selection meeting conv(C)")
-    sp.add_argument("--polytope")
-    sp.add_argument("--coloring")
-
-    sp = add("separate-point", _cmd_separate_point, "semispace separating a point from a hull")
-    sp.add_argument("--point")
-    sp.add_argument("--polytope")
-
-    sp = add("separate-box", _cmd_separate_box, "semispace separating a box from a hull")
-    sp.add_argument("--box")
-    sp.add_argument("--polytope")
-
-    sp = add("sep-condition", _cmd_sep_condition, "test the box separation criterion")
-    sp.add_argument("--box")
-    sp.add_argument("--polytope")
-
-    sp = add("separate-hyperplane", _cmd_separate_hyperplane,
-             "hyperplane through the hull avoiding a diagonal point")
-    sp.add_argument("--point")
-    sp.add_argument("--polytope")
-
-    sp = add("intsep", _cmd_intsep, "internal separation of d+1 points")
-    sp.add_argument("--pointset")
-    sp.add_argument("--sorted", action="store_true",
-                    help="use the one-pass variant for coordinatewise non-increasing rows")
-
-    sp = add("tight-diagram", _cmd_tight_diagram, "tight covering diagram of a matrix")
-    sp.add_argument("--matrix")
-
-    sp = add("radon", _cmd_radon, "two disjoint parts with intersecting hulls")
-    sp.add_argument("--pointset")
-
-    sp = add("helly", _cmd_helly, "find a common point of the family; "
-             "on a miss, name the first (d+1)-subfamily without one")
-    sp.add_argument("--family")
-
-    sp = add("centerpoint", _cmd_centerpoint, "point in every large subset's hull")
-    sp.add_argument("--pointset")
-
-    sp = add("tverberg", _cmd_tverberg, "r disjoint parts with a common hull point")
-    sp.add_argument("--pointset")
-    sp.add_argument("--r", type=int, required=True, help="number of parts")
-
-    sp = add("render", _cmd_render, "draw a planar figure as SVG")
-    sp.add_argument("--figure", choices=("segment", "semispaces", "hyperplane", "overview"),
-                    default="overview")
-    sp.add_argument("--x")
-    sp.add_argument("--y")
-    sp.add_argument("--point")
-    sp.add_argument("--hyperplane")
-    sp.add_argument("--svg", metavar="PATH", help="write the figure here instead of stdout")
 
     sp = sub.add_parser("oracle-check", help="randomized cross-check against brute force")
     sp.add_argument("--seed", type=int, default=0)
@@ -872,6 +811,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "oracle-check":
         try:
             doc, code = _cmd_oracle_check(args)
+            doc = _fmt(doc)
         except Exception as exc:
             return _internal_error({"command": args.command}, exc)
         print(json.dumps(doc, indent=2))
@@ -881,17 +821,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     ver = Verifier()
     try:
         inst = _load(args)
-        result = handlers[args.command](inst, args, ver)
-    except Negative as neg:
-        doc["outcome"] = {"type": neg.kind, "message": str(neg), **neg.payload}
-        doc["status"] = "negative"
-        print(json.dumps(doc, indent=2))
-        return EXIT_NEGATIVE
-    except (NotOnDiagonal, NotFound, ResolutionExhausted) as exc:
-        doc["outcome"] = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, (NotFound, ResolutionExhausted)):
-            doc["outcome"]["grid_step"] = _fmt(exc.grid_step)
-            doc["outcome"]["grid_size"] = exc.grid_size
+        if _COMMANDS[args.command][3] and not inst.tnorm.is_min:
+            raise PreconditionError(
+                "%s is specific to min arithmetic; drop tnorm=%r or use the "
+                "max-T subcommands (radon, helly, centerpoint, tverberg)"
+                % (args.command, inst.tnorm.tag)
+            )
+        result = _fmt(handlers[args.command](inst, args, ver))
+    except (Negative, NotOnDiagonal, NotFound, ResolutionExhausted) as exc:
+        if isinstance(exc, Negative):
+            outcome = {"type": exc.kind, "message": str(exc), **exc.payload}
+        else:
+            outcome = {"type": type(exc).__name__, "message": str(exc)}
+            if not isinstance(exc, NotOnDiagonal):
+                outcome.update(grid_step=exc.grid_step, grid_size=exc.grid_size)
+        doc["outcome"] = _fmt(outcome)
         doc["status"] = "negative"
         print(json.dumps(doc, indent=2))
         return EXIT_NEGATIVE

@@ -208,10 +208,6 @@ PRODUCT = TNorm(PRODUCT_TAG)
 LUKASIEWICZ = TNorm(LUKASIEWICZ_TAG)
 
 
-def tnorm_from_tag(tag: str, bounds: SemiringBounds = UNIT) -> TNorm:
-    return TNorm(tag, bounds)
-
-
 def tnorm_apply(t: TNorm, a: RationalLike, b: RationalLike) -> Fraction:
     """Evaluate T(a, b) exactly; DomainError when an operand is out of bounds."""
     return t.apply(t.bounds.check(a), t.bounds.check(b))

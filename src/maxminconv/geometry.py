@@ -355,8 +355,9 @@ class RadicalSum:
     def to_float(self) -> float:
         return float(sum(float(c) * math.sqrt(m) for m, c in self.terms))
 
-    def rational_bounds(self, precision: int = 10**12) -> tuple[Fraction, Fraction]:
+    def rational_bounds(self) -> tuple[Fraction, Fraction]:
         """Exact rational interval containing the value."""
+        precision = 10**12  # each square root within 1/precision
         lo = Fraction(0)
         hi = Fraction(0)
         for m, c in self.terms:

@@ -198,7 +198,6 @@ def colorful_strong(
     c: Polytope,
     colors: Sequence[Polytope],
     bounds: SemiringBounds = UNIT,
-    meeting_points: Sequence[Point] | None = None,
 ) -> ColorfulStrongResult:
     """Common point of conv(C) and a colorful hull.
 
@@ -212,21 +211,11 @@ def colorful_strong(
     if len(colors) != d + 1:
         raise PreconditionError("need exactly d + 1 = %d color classes" % (d + 1))
     pts: list[Point] = []
-    if meeting_points is not None:
-        if len(meeting_points) != d + 1:
-            raise PreconditionError("need one meeting point per color")
-        for i, q in enumerate(meeting_points):
-            if not (hull_member(q, c, bounds).member and hull_member(q, colors[i], bounds).member):
-                raise PreconditionError(
-                    "supplied point %s is not common to conv(C) and color %d" % (q, i)
-                )
-            pts.append(q)
-    else:
-        for i, cls in enumerate(colors):
-            q = _find_meeting_point(c, cls, bounds)
-            if q is None:
-                raise PreconditionError("conv(C) does not meet the hull of color %d" % i)
-            pts.append(q)
+    for i, cls in enumerate(colors):
+        q = _find_meeting_point(c, cls, bounds)
+        if q is None:
+            raise PreconditionError("conv(C) does not meet the hull of color %d" % i)
+        pts.append(q)
 
     extended = not all(bounds.interior(v) for q in pts for v in q.coords)
     work_bounds = bounds.extended() if extended else bounds

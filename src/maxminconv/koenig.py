@@ -428,8 +428,9 @@ def _require_interior(points: Sequence[Point], bounds: SemiringBounds) -> None:
         for c in p.coords:
             if not bounds.interior(c):
                 raise PreconditionError(
-                    "row %d has coordinate %s on or outside the bounds %s; "
-                    "rerun with bounds.extended()" % (r, c, bounds)
+                    "row %d has coordinate %s on or outside the bounds %s; rerun with "
+                    "the widened bounds %s (bounds.extended())"
+                    % (r, c, bounds, bounds.extended())
                 )
 
 

@@ -14,6 +14,7 @@ from maxminconv.core import (
     LUKASIEWICZ,
     MIN,
     PRODUCT,
+    UNIT,
     residual,
     tnorm_apply,
 )
@@ -279,13 +280,12 @@ def test_criterion_06_colorful_caratheodory():
         assert sorted(choice) == sorted(index_set(q))
         assert hull_member(q, Polytope(tuple(weak_pick))).member
 
-        # the internal grid search is exercised on a slice; the rest
-        # supply the constructed common point directly
-        if boundary or trial % 5 != 0:
-            res = colorful_strong(c, colors, meeting_points=[q] * (d + 1))
-            assert res.extended == boundary
-        else:
-            res = colorful_strong(c, colors)
+        res = colorful_strong(c, colors)
+        # the separation widens the bounds exactly when a meeting point
+        # touches them, which the common point q forces on the boundary
+        touches = not all(UNIT.interior(v) for m in res.meeting_points for v in m.coords)
+        assert res.extended == touches
+        assert touches or not boundary
         picked = Polytope(
             tuple(colors[i].generators[k] for i, k in sorted(res.choice.items()))
         )

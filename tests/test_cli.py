@@ -99,6 +99,33 @@ def run_python(*args):
     )
 
 
+def test_fmt_formats_library_values():
+    from maxminconv.semispaces import SemispaceId
+
+    p = geometry.Point((Fraction(1, 2), Fraction(1, 4), Fraction(1)))
+    s = SemispaceId(anchor=p, index=3)
+    value = {
+        "fraction": Fraction(-3, 8),
+        "point": p,
+        "semispace": s,
+        "float": 0.25,
+        "flags": (True, False, None),
+        "nested": ((1, (Fraction(2, 3), "x")), [p]),
+        7: {0: 1, 2: Fraction(0)},
+    }
+    assert cli._fmt(value) == {
+        "fraction": "-3/8",
+        "point": ["1/2", "1/4", "1"],
+        "semispace": {"anchor": ["1/2", "1/4", "1"], "index": 3, "tail": [0, 1]},
+        "float": 0.25,
+        "flags": [True, False, None],
+        "nested": [[1, ["2/3", "x"]], [["1/2", "1/4", "1"]]],
+        "7": {"0": 1, "2": "0"},
+    }
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._fmt({"indices": {0, 1}})
+
+
 # ---------------------------------------------------------------------------
 # positive determinations: exit 0
 # ---------------------------------------------------------------------------
@@ -805,12 +832,70 @@ def test_matrix_and_hyperplane_entries_are_bounded(capsys, tmp_path, section, ar
     assert (code, out, err) == (1, "", message)
 
 
-def test_min_only_command_rejects_other_tnorm(capsys, instance_path):
-    code, out, err = run(
-        capsys, "segment", instance_path, "--x", "x", "--y", "y", "--tnorm", "product"
+MIN_ONLY_ARGV = {
+    "segment": ["--x", "x", "--y", "y"],
+    "distance": ["--x", "x", "--y", "y"],
+    "semispaces": ["--point", "x"],
+    "caratheodory": ["--point", "onhull", "--polytope", "X"],
+    "colorful-weak": ["--point", "onhull", "--coloring", "tri"],
+    "colorful-strong": ["--polytope", "X", "--coloring", "tri"],
+    "separate-point": ["--point", "outside", "--polytope", "low"],
+    "separate-box": ["--box", "B", "--polytope", "X"],
+    "sep-condition": ["--box", "B", "--polytope", "X"],
+    "separate-hyperplane": ["--point", "diag", "--polytope", "low"],
+    "intsep": ["--pointset", "triple"],
+    "tight-diagram": ["--matrix", "A"],
+}
+
+MAX_T_ARGV = {
+    "hull-member": ["--point", "inside", "--polytope", "X"],
+    "radon": ["--pointset", "line"],
+    "helly": ["--family", "good"],
+    "centerpoint": ["--pointset", "triple"],
+    "tverberg": ["--pointset", "line", "--r", "2"],
+    "render": ["--figure", "overview"],
+}
+
+
+def test_tnorm_policy_tests_cover_every_instance_command():
+    handlers = cli.build_parser().get_default("_handlers")
+    assert sorted([*MIN_ONLY_ARGV, *MAX_T_ARGV, "oracle-check"]) == sorted(handlers)
+
+
+@pytest.mark.parametrize("command", sorted(MIN_ONLY_ARGV))
+def test_min_only_command_rejects_other_tnorm(capsys, instance_path, command):
+    argv = [command, instance_path, *MIN_ONLY_ARGV[command]]
+    code, out, err = run(capsys, *argv, "--tnorm", "product")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: %s is specific to min arithmetic; drop tnorm='product' or use the "
+        "max-T subcommands (radon, helly, centerpoint, tverberg)\n" % command
     )
-    assert code == 1
-    assert "min arithmetic" in err
+    code, doc, _ = run_json(capsys, *argv, "--tnorm", "min")
+    assert (code, doc["status"]) == (0, "ok")
+
+
+@pytest.mark.parametrize("command", sorted(MAX_T_ARGV))
+def test_max_t_command_accepts_other_tnorm(capsys, instance_path, intervals_path, command):
+    path = intervals_path if command in ("radon", "tverberg") else instance_path
+    code, out, err = run(capsys, command, path, *MAX_T_ARGV[command], "--tnorm", "product")
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_intsep_on_the_bounds_names_the_widened_bounds(capsys, tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(
+        {"schema": 1, "pointsets": {"S": [["0", "1/2"], ["1/2", "1/4"], ["3/4", "3/4"]]}}
+    ))
+    code, out, err = run(capsys, "intsep", str(path), "--pointset", "S")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: row 0 has coordinate 0 on or outside the bounds [0, 1]; rerun with "
+        "the widened bounds [-1, 2] (bounds.extended())\n"
+    )
+    code, doc, _ = run_json(capsys, "intsep", str(path), "--pointset", "S", "--bounds", "-1", "2")
+    assert (code, doc["status"]) == (0, "ok")
 
 
 # ---------------------------------------------------------------------------

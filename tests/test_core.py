@@ -15,13 +15,13 @@ from maxminconv.core import (
     DomainError,
     PreconditionError,
     SemiringBounds,
+    TNorm,
     as_value,
     common_denominator,
     format_value,
     grid_levels,
     residual,
     tnorm_apply,
-    tnorm_from_tag,
     value_grid,
 )
 
@@ -116,19 +116,19 @@ def test_extended_bounds_strictly_widen():
 
 def test_min_tnorm_accepts_general_bounds():
     wide = SemiringBounds(Fraction(-1), Fraction(2))
-    t = tnorm_from_tag("min", wide)
+    t = TNorm("min", wide)
     assert tnorm_apply(t, Fraction(-1, 2), Fraction(3, 2)) == Fraction(-1, 2)
 
 
 @pytest.mark.parametrize("tag", ["product", "lukasiewicz"])
 def test_unit_only_tnorms_reject_other_bounds(tag):
     with pytest.raises(DomainError):
-        tnorm_from_tag(tag, SemiringBounds(Fraction(-1), Fraction(2)))
+        TNorm(tag, SemiringBounds(Fraction(-1), Fraction(2)))
 
 
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
-        tnorm_from_tag("drastic")
+        TNorm("drastic")
 
 
 # ---------------------------------------------------------------------------

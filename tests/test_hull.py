@@ -262,26 +262,6 @@ def test_colorful_strong_random_with_known_common_point(rng):
         assert sorted(res.assignment) == [0, 1, 2]
 
 
-def test_colorful_strong_supplied_meeting_points(rng):
-    q = point("0.4", "0.6")
-    c = polytope([("0.4", "0.6"), ("0.9", "0.1")])
-    colors = [
-        polytope([("0.4", "0.6"), ("0.2", "0.2")]),
-        polytope([("0.4", "0.6"), ("0.8", "0.8")]),
-        polytope([("0.4", "0.6")]),
-    ]
-    res = colorful_strong(c, colors, meeting_points=[q, q, q])
-    assert res.meeting_points == (q, q, q)
-    assert hull_member(res.witness, c).member
-
-
-def test_colorful_strong_rejects_bad_meeting_point():
-    c = polytope([("0.4", "0.6")])
-    colors = [c, c, c]
-    with pytest.raises(PreconditionError):
-        colorful_strong(c, colors, meeting_points=[point("0.9", "0.9")] * 3)
-
-
 def test_colorful_strong_disjoint_color_detected():
     c = polytope([("0.1", "0.1")])
     colors = [
