@@ -38,6 +38,7 @@ from typing import Any, Callable, Sequence
 
 from . import __version__, oracle
 from .core import (
+    NUMERAL_LIMIT,
     DomainError,
     PreconditionError,
     ResolutionExhausted,
@@ -585,11 +586,10 @@ def _cmd_centerpoint(inst: Instance, args: argparse.Namespace, ver: Verifier) ->
     m0 = (d * n) // (d + 1) + 1
     # in every m0-subset hull when each attainment set holds n - m0 + 1 points
     inside = _certified(res.point, pts, res.coefficients, inst.tnorm, depth=n - m0 + 1)
-    ver.check(
-        "inside the hull of every %d-subset (all %d of them)"
-        % (m0, math.comb(n, m0)),
-        inside,
-    )
+    count = math.comb(n, m0)
+    # a count too long to print as a numeral is named by its formula
+    count_text = "%d" % count if count < 10 ** NUMERAL_LIMIT else "C(%d, %d)" % (n, m0)
+    ver.check("inside the hull of every %d-subset (all %s of them)" % (m0, count_text), inside)
     return {"centerpoint": res.point, "subset_size": m0}
 
 
@@ -747,6 +747,17 @@ _OPTION_KEYWORDS: dict[str, dict[str, Any]] = {
 }
 
 
+def _trial_count(text: str) -> int:
+    """``--trials``: a count of at least 1, so a passing check ran trials."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError("expected an integer of at least 1, got %r" % text)
+    return count
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process.
@@ -778,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle-check", help="randomized cross-check against brute force")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=50)
+    sp.add_argument("--trials", type=_trial_count, default=50)
     handlers["oracle-check"] = _cmd_oracle_check
 
     parser.set_defaults(_handlers=handlers)

@@ -15,6 +15,12 @@ longer than ``core.NUMERAL_LIMIT`` characters, or with a decimal
 exponent beyond it, is refused at its path, bare JSON numbers included,
 since its value could not be printed back.
 
+``_OBJECTS`` declares the object sections, points to colorings, in
+parse order, which is also the order in which errors are found; a
+family names polytopes parsed before it.  Each entry pairs the parser
+of one named entry with its formatter, and ``instance_from_dict`` and
+``instance_to_dict`` each run one loop over it.
+
 Top-level sections (all optional, all holding named objects):
 
     schema      literal 1
@@ -37,7 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .core import (
     NUMERAL_LIMIT,
@@ -55,22 +61,6 @@ from .semispaces import Hyperplane
 from .separation import Box
 
 SCHEMA_VERSION = 1
-
-_SECTIONS = (
-    "schema",
-    "dimension",
-    "tnorm",
-    "bounds",
-    "grid_step",
-    "points",
-    "pointsets",
-    "polytopes",
-    "boxes",
-    "matrices",
-    "hyperplanes",
-    "families",
-    "colorings",
-)
 
 
 def _fail(path: str, message: str) -> DomainError:
@@ -151,6 +141,136 @@ def _check_dim(dim: int | None, got: int, path: str) -> int:
     return got
 
 
+class _Reader:
+    """What the object sections of one document share while they parse.
+
+    The bounds, the dimension found so far, the sections parsed so far,
+    and one entry per distinct numeral string of the document: its value
+    and whether it lies inside the bounds.  Numeral keys are strings
+    only, as JSON true == 1 and hash(True) == hash(1).
+    """
+
+    def __init__(self, bounds: SemiringBounds, dim: int | None):
+        self.bounds = bounds
+        self.dim = dim
+        self.objects: dict[str, dict[str, Any]] = {}
+        self.numerals: dict[str, tuple[Fraction, bool]] = {}
+
+    def row(self, raw: Any, path: str, point: bool = True) -> tuple[Fraction, ...]:
+        """A row's values: parse errors first; for a point, the empty and
+        dimension checks next; the first value outside the bounds last."""
+        numerals, bounds = self.numerals, self.bounds
+        values = []
+        outside = None
+        for i, v in enumerate(_numeral_list(raw, path)):
+            entry = numerals.get(v) if isinstance(v, str) else None
+            if entry is None:
+                value = _value(v, path, i)
+                entry = (value, bounds.contains(value))
+                if isinstance(v, str):
+                    numerals[v] = entry
+            values.append(entry[0])
+            if outside is None and not entry[1]:
+                outside = entry[0]
+        if point:
+            if not values:
+                raise _fail(path, "empty point")
+            self.dim = _check_dim(self.dim, len(values), path)
+        if outside is not None:
+            raise _fail(path, "value %s outside bounds %s" % (outside, bounds))
+        return tuple(values)
+
+    def point(self, raw: Any, path: str) -> Point:
+        return Point(self.row(raw, path))
+
+    def points(self, raw: Any, path: str) -> tuple[Point, ...]:
+        if not isinstance(raw, Sequence) or isinstance(raw, str):
+            raise _fail(path, "expected a list of points")
+        return tuple(self.point(row, "%s[%d]" % (path, i)) for i, row in enumerate(raw))
+
+
+def _polytope(rd: _Reader, raw: Any, path: str) -> Polytope:
+    rows = rd.points(raw, path)
+    if not rows:
+        raise _fail(path, "a polytope needs at least one generator")
+    return Polytope(rows)
+
+
+def _box(rd: _Reader, raw: Any, path: str) -> Box:
+    if not isinstance(raw, Mapping) or set(raw) != {"lower", "upper"}:
+        raise _fail(path, 'expected {"lower": [...], "upper": [...]}')
+    return Box(rd.point(raw["lower"], path + ".lower"), rd.point(raw["upper"], path + ".upper"))
+
+
+def _matrix(rd: _Reader, raw: Any, path: str) -> Matrix:
+    if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
+        raise _fail(path, "expected a non-empty list of rows")
+    rows = tuple(rd.row(row, "%s[%d]" % (path, i), point=False) for i, row in enumerate(raw))
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise _fail(path, "ragged rows")
+    rd.dim = _check_dim(rd.dim, ncols, path)
+    return Matrix(rows)
+
+
+def _hyperplane(rd: _Reader, raw: Any, path: str) -> Hyperplane:
+    if not isinstance(raw, Mapping) or set(raw) != {"a", "b"}:
+        raise _fail(path, 'expected {"a": [...], "b": [...]}')
+    h = Hyperplane(rd.row(raw["a"], path + ".a", point=False),
+                   rd.row(raw["b"], path + ".b", point=False))
+    rd.dim = _check_dim(rd.dim, h.dim, path)
+    return h
+
+
+def _family(rd: _Reader, raw: Any, path: str) -> tuple[str, ...]:
+    if not isinstance(raw, Sequence) or isinstance(raw, str):
+        raise _fail(path, "expected a list of polytope names")
+    polytopes = rd.objects["polytopes"]
+    for i, member in enumerate(raw):
+        if not isinstance(member, str) or member not in polytopes:
+            raise _fail(
+                "%s[%d]" % (path, i),
+                "unknown polytope %r; available: %s" % (member, sorted(polytopes)),
+            )
+    return tuple(raw)
+
+
+def _coloring(rd: _Reader, raw: Any, path: str) -> tuple[Polytope, ...]:
+    if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
+        raise _fail(path, "expected a non-empty list of color classes")
+    classes = []
+    for i, cls in enumerate(raw):
+        rows = rd.points(cls, "%s[%d]" % (path, i))
+        if not rows:
+            raise _fail("%s[%d]" % (path, i), "empty color class")
+        classes.append(Polytope(rows))
+    return tuple(classes)
+
+
+def _formatted(values: Sequence[Fraction]) -> list[str]:
+    return [format_value(v) for v in values]
+
+
+def _generators(poly: Polytope) -> list[list[str]]:
+    return [_formatted(g.coords) for g in poly.generators]
+
+
+# section -> (parse one named entry, format one entry), in parse order
+_OBJECTS: dict[str, tuple[Callable[[_Reader, Any, str], Any], Callable[[Any], Any]]] = {
+    "points": (_Reader.point, lambda p: _formatted(p.coords)),
+    "pointsets": (_Reader.points, lambda ps: [_formatted(p.coords) for p in ps]),
+    "polytopes": (_polytope, _generators),
+    "boxes": (_box, lambda b: {"lower": _formatted(b.lower.coords),
+                               "upper": _formatted(b.upper.coords)}),
+    "matrices": (_matrix, lambda m: [_formatted(row) for row in m.rows]),
+    "hyperplanes": (_hyperplane, lambda h: {"a": _formatted(h.a), "b": _formatted(h.b)}),
+    "families": (_family, list),
+    "colorings": (_coloring, lambda classes: [_generators(c) for c in classes]),
+}
+
+_SECTIONS = ("schema", "dimension", "tnorm", "bounds", "grid_step", *_OBJECTS)
+
+
 def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     for key in doc:
         if key not in _SECTIONS:
@@ -182,7 +302,6 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1
     ):
         raise _fail("dimension", "expected a positive integer, got %r" % (dimension,))
-    dim = dimension
 
     grid_step = None
     if doc.get("grid_step") is not None:
@@ -190,143 +309,19 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         if grid_step <= 0:
             raise _fail("grid_step", "must be positive")
 
-    # One entry per distinct numeral string of the document: its value
-    # and whether it lies inside the bounds.  Keys are strings only, as
-    # JSON true == 1 and hash(True) == hash(1).
-    numerals: dict[str, tuple[Fraction, bool]] = {}
-
-    def parse_row(raw: Any, path: str, point: bool = True) -> tuple[Fraction, ...]:
-        """A row's values: parse errors first; for a point, the empty and
-        dimension checks next; the first value outside the bounds last."""
-        nonlocal dim
-        values = []
-        outside = None
-        for i, v in enumerate(_numeral_list(raw, path)):
-            entry = numerals.get(v) if isinstance(v, str) else None
-            if entry is None:
-                value = _value(v, path, i)
-                entry = (value, bounds.contains(value))
-                if isinstance(v, str):
-                    numerals[v] = entry
-            values.append(entry[0])
-            if outside is None and not entry[1]:
-                outside = entry[0]
-        if point:
-            if not values:
-                raise _fail(path, "empty point")
-            dim = _check_dim(dim, len(values), path)
-        if outside is not None:
-            raise _fail(path, "value %s outside bounds %s" % (outside, bounds))
-        return tuple(values)
-
-    def parse_point(raw: Any, path: str) -> Point:
-        return Point(parse_row(raw, path))
-
-    def parse_point_list(raw: Any, path: str) -> tuple[Point, ...]:
-        if not isinstance(raw, Sequence) or isinstance(raw, str):
-            raise _fail(path, "expected a list of points")
-        return tuple(
-            parse_point(row, "%s[%d]" % (path, i)) for i, row in enumerate(raw)
-        )
-
-    points = {
-        name: parse_point(raw, "points.%s" % name)
-        for name, raw in _named(doc.get("points"), "points").items()
-    }
-    pointsets = {
-        name: parse_point_list(raw, "pointsets.%s" % name)
-        for name, raw in _named(doc.get("pointsets"), "pointsets").items()
-    }
-    polytopes = {}
-    for name, raw in _named(doc.get("polytopes"), "polytopes").items():
-        path = "polytopes.%s" % name
-        rows = parse_point_list(raw, path)
-        if not rows:
-            raise _fail(path, "a polytope needs at least one generator")
-        polytopes[name] = Polytope(rows)
-
-    boxes = {}
-    for name, raw in _named(doc.get("boxes"), "boxes").items():
-        path = "boxes.%s" % name
-        if not isinstance(raw, Mapping) or set(raw) != {"lower", "upper"}:
-            raise _fail(path, 'expected {"lower": [...], "upper": [...]}')
-        lower = parse_point(raw["lower"], path + ".lower")
-        upper = parse_point(raw["upper"], path + ".upper")
-        try:
-            boxes[name] = Box(lower, upper)
-        except ValueError as exc:
-            raise _fail(path, str(exc)) from None
-
-    matrices = {}
-    for name, raw in _named(doc.get("matrices"), "matrices").items():
-        path = "matrices.%s" % name
-        if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
-            raise _fail(path, "expected a non-empty list of rows")
-        rows = [
-            parse_row(row, "%s[%d]" % (path, i), point=False) for i, row in enumerate(raw)
-        ]
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise _fail(path, "ragged rows")
-        dim = _check_dim(dim, ncols, path)
-        try:
-            matrices[name] = Matrix(tuple(rows))
-        except ValueError as exc:
-            raise _fail(path, str(exc)) from None
-
-    hyperplanes = {}
-    for name, raw in _named(doc.get("hyperplanes"), "hyperplanes").items():
-        path = "hyperplanes.%s" % name
-        if not isinstance(raw, Mapping) or set(raw) != {"a", "b"}:
-            raise _fail(path, 'expected {"a": [...], "b": [...]}')
-        a = parse_row(raw["a"], path + ".a", point=False)
-        b = parse_row(raw["b"], path + ".b", point=False)
-        try:
-            h = Hyperplane(a, b)
-        except ValueError as exc:
-            raise _fail(path, str(exc)) from None
-        dim = _check_dim(dim, h.dim, path)
-        hyperplanes[name] = h
-
-    families = {}
-    for name, raw in _named(doc.get("families"), "families").items():
-        path = "families.%s" % name
-        if not isinstance(raw, Sequence) or isinstance(raw, str):
-            raise _fail(path, "expected a list of polytope names")
-        for i, member in enumerate(raw):
-            if not isinstance(member, str) or member not in polytopes:
-                raise _fail(
-                    "%s[%d]" % (path, i),
-                    "unknown polytope %r; available: %s" % (member, sorted(polytopes)),
-                )
-        families[name] = tuple(raw)
-
-    colorings = {}
-    for name, raw in _named(doc.get("colorings"), "colorings").items():
-        path = "colorings.%s" % name
-        if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
-            raise _fail(path, "expected a non-empty list of color classes")
-        classes = []
-        for i, cls in enumerate(raw):
-            rows = parse_point_list(cls, "%s[%d]" % (path, i))
-            if not rows:
-                raise _fail("%s[%d]" % (path, i), "empty color class")
-            classes.append(Polytope(rows))
-        colorings[name] = tuple(classes)
-
+    rd = _Reader(bounds, dimension)
+    for section, (parse, _) in _OBJECTS.items():
+        entries = rd.objects[section] = {}
+        for name, raw in _named(doc.get(section), section).items():
+            path = "%s.%s" % (section, name)
+            try:
+                entries[name] = parse(rd, raw, path)
+            except DomainError:
+                raise
+            except ValueError as exc:  # a constructor's refusal
+                raise _fail(path, str(exc)) from None
     return Instance(
-        tnorm=tnorm,
-        bounds=bounds,
-        dimension=dimension,
-        grid_step=grid_step,
-        points=points,
-        pointsets=pointsets,
-        polytopes=polytopes,
-        boxes=boxes,
-        matrices=matrices,
-        hyperplanes=hyperplanes,
-        families=families,
-        colorings=colorings,
+        tnorm=tnorm, bounds=bounds, dimension=dimension, grid_step=grid_step, **rd.objects
     )
 
 
@@ -341,45 +336,10 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
     if inst.grid_step is not None:
         doc["grid_step"] = format_value(inst.grid_step)
 
-    def fmt_point(p: Point) -> list[str]:
-        return [format_value(c) for c in p.coords]
-
-    if inst.points:
-        doc["points"] = {n: fmt_point(p) for n, p in inst.points.items()}
-    if inst.pointsets:
-        doc["pointsets"] = {
-            n: [fmt_point(p) for p in ps] for n, ps in inst.pointsets.items()
-        }
-    if inst.polytopes:
-        doc["polytopes"] = {
-            n: [fmt_point(g) for g in poly.generators]
-            for n, poly in inst.polytopes.items()
-        }
-    if inst.boxes:
-        doc["boxes"] = {
-            n: {"lower": fmt_point(b.lower), "upper": fmt_point(b.upper)}
-            for n, b in inst.boxes.items()
-        }
-    if inst.matrices:
-        doc["matrices"] = {
-            n: [[format_value(v) for v in row] for row in m.rows]
-            for n, m in inst.matrices.items()
-        }
-    if inst.hyperplanes:
-        doc["hyperplanes"] = {
-            n: {
-                "a": [format_value(v) for v in h.a],
-                "b": [format_value(v) for v in h.b],
-            }
-            for n, h in inst.hyperplanes.items()
-        }
-    if inst.families:
-        doc["families"] = {n: list(members) for n, members in inst.families.items()}
-    if inst.colorings:
-        doc["colorings"] = {
-            n: [[fmt_point(g) for g in cls.generators] for cls in classes]
-            for n, classes in inst.colorings.items()
-        }
+    for section, (_, dump) in _OBJECTS.items():
+        entries = getattr(inst, section)
+        if entries:
+            doc[section] = {name: dump(entry) for name, entry in entries.items()}
     return doc
 
 
@@ -407,6 +367,8 @@ def parse_raw(text: str) -> dict[str, Any]:
     except json.JSONDecodeError as exc:
         raise DomainError("invalid JSON at line %d column %d: %s"
                           % (exc.lineno, exc.colno, exc.msg)) from None
+    except RecursionError:
+        raise DomainError("instance file nests too deeply") from None
     if not isinstance(doc, dict):
         raise DomainError("instance file must be a JSON object")
     return doc

@@ -371,6 +371,19 @@ def test_centerpoint_rechecks_every_subset_hull(capsys, intervals_path, monkeypa
     assert doc["verification"]["checks"] == [{"name": name, "passed": False}]
 
 
+def test_centerpoint_of_many_points_names_its_subset_count(capsys, tmp_path):
+    """C(15000, 7501) has more digits than a check name may print."""
+    path = tmp_path / "many.json"
+    line = [["%d/97" % (i % 98)] for i in range(15000)]
+    path.write_text(json.dumps({"schema": 1, "pointsets": {"line": line}}))
+    code, doc, _ = run_json(capsys, "centerpoint", str(path), "--pointset", "line")
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["verification"]["checks"] == [{
+        "name": "inside the hull of every 7501-subset (all C(15000, 7501) of them)",
+        "passed": True,
+    }]
+
+
 WITNESS_ARGV = [
     ("radon", "--pointset", "radon"),
     ("helly", "--family", "good"),
@@ -491,6 +504,16 @@ def test_oracle_check(capsys):
     assert doc["status"] == "ok"
     assert doc["failures"] == []
     assert doc["trials"]["hull"] == 12
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_oracle_check_refuses_fewer_than_one_trial(capsys, trials):
+    code, out, err = run(capsys, "oracle-check", "--trials", trials)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: maxminconv oracle-check")
+    assert err.endswith(
+        "error: argument --trials: expected an integer of at least 1, got '%s'\n" % trials
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1202,6 +1225,13 @@ def test_over_fine_grid_step_is_refused_before_it_is_built(capsys, intervals_pat
     code, doc, _ = run_json(capsys, *argv, "--grid-step", "1/10000")
     assert code == 0
     assert doc["result"]["witness"] == ["1/2"]
+
+
+def test_deeply_nested_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema": 1, "points": {"p": %s%s}}' % ("[" * 100000, "]" * 100000))
+    code, out, err = run(capsys, "semispaces", str(path), "--point", "p")
+    assert (code, out, err) == (1, "", "error: instance file nests too deeply\n")
 
 
 def test_missing_file(capsys, tmp_path):

@@ -1,14 +1,17 @@
 """Instance file schema: exact numerals, validation paths, round trips."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from maxminconv.core import DomainError, UNIT
 from maxminconv.geometry import point
 from maxminconv.instance import (
+    _OBJECTS,
+    _SECTIONS,
     Instance,
     dumps_instance,
     instance_from_dict,
@@ -281,13 +284,16 @@ _BAD_NUMERALS = [
     True, False, 0.5, None, [], "", "zebra", "1/0", "1e5000", "1e-1001", "7" * 1001,
 ]
 _numerals = st.sampled_from(_GOOD_NUMERALS * 4 + _BAD_NUMERALS)
+_UNIT_NUMERALS = ["0", "1", "1/2", "0.5", "0.25", " 1/2 ", 0, 1, Fraction(1, 2), Fraction(1)]
 
 
 @st.composite
-def _numeral_documents(draw):
+def _numeral_documents(draw, numerals=_numerals, ragged=True):
     d = draw(st.integers(1, 3))
-    fits = st.lists(_numerals, min_size=d, max_size=d)
-    row = st.one_of(fits, fits, st.lists(_numerals, max_size=d + 1))  # 2 in 3 fit d
+    fits = st.lists(numerals, min_size=d, max_size=d)
+    row = fits
+    if ragged:
+        row = st.one_of(fits, fits, st.lists(numerals, max_size=d + 1))  # 2 in 3 fit d
     rows = st.lists(row, min_size=1, max_size=3)
     named = lambda entry: st.dictionaries(st.sampled_from("pqr"), entry, max_size=2)
     doc = {"schema": 1}
@@ -344,6 +350,17 @@ def test_invalid_json_reports_position():
 def test_top_level_must_be_object():
     with pytest.raises(DomainError, match="JSON object"):
         parse_raw("[1, 2]")
+
+
+def test_deep_nesting_is_refused():
+    def nested(depth):
+        return '{"schema": 1, "points": {"p": %s%s}}' % ("[" * depth, "]" * depth)
+
+    with pytest.raises(DomainError) as exc:
+        parse_raw(nested(100000))
+    assert str(exc.value) == "instance file nests too deeply"
+    with pytest.raises(DomainError, match=r"^points\.p\[0\]: "):
+        loads_instance(nested(500))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +420,46 @@ def test_round_trip_custom_bounds():
     doc = '{"schema": 1, "bounds": ["-1", "2"], "points": {"p": ["1.5", "-0.25"]}}'
     inst = loads_instance(doc)
     assert loads_instance(dumps_instance(inst)) == inst
+
+
+@st.composite
+def _whole_documents(draw):
+    """One object section of a ``_numeral_documents`` document, in most
+    of them with numerals in [0, 1] and rows of one length; families
+    naming its polytopes, and the scalar sections."""
+    if draw(st.integers(0, 3)):
+        doc = draw(_numeral_documents(st.sampled_from(_UNIT_NUMERALS), ragged=False))
+    else:
+        doc = draw(_numeral_documents())
+    kept = draw(st.sampled_from(sorted(set(doc) & set(_OBJECTS))))
+    assume(doc[kept])
+    doc = {key: value for key, value in doc.items() if key not in _OBJECTS or key == kept}
+    if kept == "polytopes":
+        members = st.lists(st.sampled_from(sorted(doc["polytopes"])), max_size=3)
+        doc["families"] = draw(st.dictionaries(st.sampled_from("FG"), members, min_size=1))
+    if draw(st.booleans()):
+        doc["tnorm"] = draw(st.sampled_from(["min", "product", "lukasiewicz"]))
+    if draw(st.booleans()):
+        doc["grid_step"] = draw(st.sampled_from(["1/20", "0.05", 1]))
+    if draw(st.booleans()):
+        doc["dimension"] = draw(st.integers(1, 3))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_whole_documents())
+def test_every_section_round_trips(doc):
+    try:
+        inst = instance_from_dict(doc)
+    except DomainError:
+        return
+    assert loads_instance(dumps_instance(inst)) == inst
+
+
+def test_object_table_matches_the_instance_fields():
+    sections = [f.name for f in dataclasses.fields(Instance) if f.type.startswith("dict[")]
+    assert list(_OBJECTS) == sections
+    assert _SECTIONS == ("schema", "dimension", "tnorm", "bounds", "grid_step", *sections)
 
 
 def test_dump_is_valid_json_with_schema():
