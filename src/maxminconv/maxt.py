@@ -109,17 +109,6 @@ class MaxTMembership:
 
 
 @dataclass(frozen=True)
-class RadonPartition:
-    """Two parts whose hulls share ``witness``; ``coefficients`` holds the
-    principal coefficients of the witness over part1 and over part2."""
-
-    part1: tuple[int, ...]
-    part2: tuple[int, ...]
-    witness: Point
-    coefficients: tuple[Coefficients, Coefficients]
-
-
-@dataclass(frozen=True)
 class TverbergPartition:
     """r parts whose hulls share ``witness``, with its principal
     coefficients over each part."""
@@ -136,14 +125,6 @@ class CommonWitness:
 
     point: Point
     coefficients: tuple[Coefficients, ...]
-
-
-@dataclass(frozen=True)
-class CenterpointWitness:
-    """A centerpoint, with its principal coefficients over all n points."""
-
-    point: Point
-    coefficients: Coefficients
 
 
 @dataclass(frozen=True)
@@ -448,14 +429,15 @@ def radon_partition(
     points: Sequence[Point],
     tnorm: TNorm = MIN,
     grid_step: Fraction | None = None,
-) -> RadonPartition:
+) -> TverbergPartition:
     """Split d+2 points into two parts whose hulls share a point.
 
     Partitions are tried in ascending bitmask order with index 0 pinned
     to the first part, and for each one the grid is searched for a
     common witness.  Existence holds for every built-in t-norm, so with
     min arithmetic a full miss is an internal error; for the other
-    norms it surfaces as ResolutionExhausted.
+    norms it surfaces as ResolutionExhausted.  The answer is the
+    two-part Tverberg partition, which ``tverberg_search`` returns at r = 2.
     """
     pts = list(points)
     _validate(pts, tnorm)
@@ -469,7 +451,7 @@ def radon_partition(
         part1 = tuple(i for i in range(n) if i not in part2)
         hit = _common_point(search, (part1, part2))
         if hit is not None:
-            return RadonPartition(part1, part2, hit.point, hit.coefficients)
+            return TverbergPartition((part1, part2), hit.point, hit.coefficients)
     raise _miss(search, "Radon witness")
 
 
@@ -533,7 +515,7 @@ def centerpoint(
     points: Sequence[Point],
     tnorm: TNorm = MIN,
     grid_step: Fraction | None = None,
-) -> CenterpointWitness:
+) -> CommonWitness:
     """Point lying in the hull of every subset larger than dn/(d+1).
 
     Equivalently, a common point of the hulls of all subsets of size
@@ -545,7 +527,8 @@ def centerpoint(
     (``_common_point`` with rank q and the one group of all n points).
     The witness is certified by its attainment counts over all n points,
     on the search's integers: each must be at least q.  It is returned
-    with its principal coefficients.
+    as that search's hit: one group, so one coefficient tuple over all n
+    points.
     """
     pts = list(points)
     _validate(pts, tnorm)
@@ -556,7 +539,7 @@ def centerpoint(
     hit = _common_point(search, [range(n)], q)
     if hit is None:
         raise _miss(search, "centerpoint")
-    return CenterpointWitness(point=hit.point, coefficients=hit.coefficients[0])
+    return hit
 
 
 def _is_prime_power(r: int) -> bool:
@@ -618,8 +601,7 @@ def tverberg_search(
             % ((d + 1) * (r - 1) + 1, r, d, n)
         )
     if r == 2:
-        rp = radon_partition(pts, tnorm, grid_step)
-        return TverbergPartition((rp.part1, rp.part2), rp.witness, rp.coefficients)
+        return radon_partition(pts, tnorm, grid_step)
     search = _search(pts, tnorm, grid_step)
     for labels in _partitions_into(n, r):
         parts = tuple(

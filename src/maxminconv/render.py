@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .core import PreconditionError, SemiringBounds, UNIT
 from .geometry import Point, segment_decompose
 from .hull import Polytope
-from .semispaces import Hyperplane, SemispaceId, hyperplane_eval, semispace_family
+from .semispaces import Hyperplane, SemispaceId, hyperplane_contains, semispace_family
 from .separation import Box
 
 SIZE = 512
@@ -140,26 +140,23 @@ def render_segment(x: Point, y: Point, bounds: SemiringBounds = UNIT) -> str:
 
 
 def _semispace_regions(s: SemispaceId, bounds: SemiringBounds) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Axis-parallel regions (lo1, hi1, lo2, hi2) whose union is the semispace."""
+    """Axis-parallel regions (lo1, hi1, lo2, hi2) whose union is the semispace.
+
+    A band below the anchor in coordinate index - 1, then a band above it
+    in each tail coordinate; index 0 has no lower band and every
+    coordinate as its tail.
+    """
     lo, hi = bounds.lo, bounds.hi
     p = s.anchor
-    regions = []
+
+    def band(m: int, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        # coordinate m in [a, b], the other one free
+        return (a, b, lo, hi) if m == 0 else (lo, hi, a, b)
+
     if s.index == 0:
-        # some coordinate strictly above its anchor value
-        regions.append((p[0], hi, lo, hi))
-        regions.append((lo, hi, p[1], hi))
-    else:
-        c = s.index - 1
-        if c == 0:
-            regions.append((lo, p[0], lo, hi))
-        else:
-            regions.append((lo, hi, lo, p[1]))
-        for m in s.tail():
-            if m == 0:
-                regions.append((p[0], hi, lo, hi))
-            else:
-                regions.append((lo, hi, p[1], hi))
-    return regions
+        return [band(m, p[m], hi) for m in range(p.dim)]
+    c = s.index - 1
+    return [band(c, lo, p[c])] + [band(m, p[m], hi) for m in s.tail()]
 
 
 def render_semispaces(p: Point, bounds: SemiringBounds = UNIT) -> str:
@@ -192,11 +189,6 @@ def render_hyperplane(h: Hyperplane, bounds: SemiringBounds = UNIT) -> str:
     canvas = Canvas(bounds)
     canvas.frame()
     color = PALETTE[0]
-
-    def solves(q: Point) -> bool:
-        lhs, rhs = hyperplane_eval(h, q)
-        return lhs == rhs
-
     solid_keys: set[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = set()
     covered: set[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = set()
     vertices: dict[tuple[Fraction, ...], bool] = {}
@@ -218,7 +210,7 @@ def render_hyperplane(h: Hyperplane, bounds: SemiringBounds = UNIT) -> str:
                 (corners[0], corners[2], corners[3]),
             )
             for tri in tris:
-                flags = [solves(q) for q in tri]
+                flags = [hyperplane_contains(h, q) for q in tri]
                 for q, f in zip(tri, flags):
                     vertices.setdefault(q.coords, f)
                 if all(flags):

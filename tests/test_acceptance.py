@@ -417,8 +417,8 @@ def test_criterion_09_maxt_theorems():
             pts = [rand_point(rng, d, tuple(Fraction(k, 10) for k in range(11)))
                    for _ in range(d + 2)]
         rp = radon_partition(pts, tnorm, grid_step=None if tnorm is MIN else step)
-        assert sorted(rp.part1 + rp.part2) == list(range(len(pts)))
-        for part in (rp.part1, rp.part2):
+        assert sorted(rp.parts[0] + rp.parts[1]) == list(range(len(pts)))
+        for part in rp.parts:
             sub = Polytope(tuple(pts[i] for i in part))
             assert hull_member_maxt(rp.witness, sub, tnorm).member
 

@@ -84,9 +84,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _reject_constant(name):
+    raise AssertionError("stdout is not JSON: it holds %s" % name)
+
+
+def loads(out):
+    """Parse CLI stdout as strict JSON: ``Infinity`` or ``NaN`` fails the test."""
+    return json.loads(out, parse_constant=_reject_constant)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
-    return code, json.loads(out), err
+    return code, loads(out), err
 
 
 def run_python(*args):
@@ -173,6 +182,24 @@ def test_distance_decomposes_the_segment_twice(capsys, instance_path, monkeypatc
     assert code == 0 and doc["verification"]["passed"] is True
     p, q = (cli.instance_from_dict(BASE).lookup("points", n) for n in (x, y))
     assert calls == [(p, q), (q, p)]
+
+
+@pytest.mark.parametrize(
+    "hi, y",
+    [
+        ("2e308", ["15e307", "15e307"]),  # 15e307 fits a float, 15e307 * sqrt(2) does not
+        ("1e400", ["1e400", "1e399"]),  # no coefficient fits a float
+    ],
+)
+def test_distance_beyond_the_float_range(capsys, tmp_path, hi, y):
+    """The exact value is printed; its float is null, as JSON has no Infinity."""
+    path = tmp_path / "far.json"
+    points = {"x": ["0", "0"], "y": y}
+    path.write_text(json.dumps({"schema": 1, "bounds": ["0", hi], "points": points}))
+    code, doc, _ = run_json(capsys, "distance", str(path), "--x", "x", "--y", "y")
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["result"]["value_float"] is None
+    assert doc["result"]["terms"]
 
 
 def test_semispaces_document(capsys, instance_path):
@@ -352,7 +379,7 @@ def test_centerpoint_rechecks_every_subset_hull(capsys, intervals_path, monkeypa
     """
     from maxminconv.geometry import point
     from maxminconv.hull import Polytope
-    from maxminconv.maxt import CenterpointWitness, hull_member_maxt
+    from maxminconv.maxt import CommonWitness, hull_member_maxt
 
     name = "inside the hull of every 3-subset (all 10 of them)"
     argv = ("centerpoint", intervals_path, "--pointset", "five", "--tnorm", tnorm)
@@ -362,7 +389,7 @@ def test_centerpoint_rechecks_every_subset_hull(capsys, intervals_path, monkeypa
 
     def forged(pts, t, step):
         p = point("0.1")
-        return CenterpointWitness(p, hull_member_maxt(p, Polytope(tuple(pts)), t).coefficients)
+        return CommonWitness(p, (hull_member_maxt(p, Polytope(tuple(pts)), t).coefficients,))
 
     monkeypatch.setattr(cli, "centerpoint", forged)
     code, doc, _ = run_json(capsys, *argv)
@@ -567,7 +594,7 @@ def test_separate_box_rechecks_its_negative(capsys, instance_path, monkeypatch, 
         capsys, "separate-box", instance_path, "--box", box, "--polytope", poly
     )
     assert code == 1
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["status"] == "internal-error"
     assert "non-separability certificate fails its re-check" in doc["outcome"]["message"]
 
@@ -575,7 +602,7 @@ def test_separate_box_rechecks_its_negative(capsys, instance_path, monkeypatch, 
         capsys, "sep-condition", instance_path, "--box", box, "--polytope", poly
     )
     assert code == 1
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["status"] == "verification-failed"
     assert doc["result"]["condition_holds"] is False
 
@@ -630,7 +657,7 @@ def test_min_helly_ignores_the_grid_step(capsys, instance_path):
     plain = run(capsys, "helly", instance_path, "--family", "apart")
     stepped = run(capsys, "helly", instance_path, "--family", "apart", "--grid-step", "1/4")
     assert stepped == plain
-    outcome = json.loads(stepped[1])["outcome"]
+    outcome = loads(stepped[1])["outcome"]
     assert outcome["type"] == "CounterexampleSubfamily"
     assert outcome["exact"] is True
     assert outcome["grid_step"] is None
@@ -761,7 +788,7 @@ def test_internal_error_is_a_document(capsys, intervals_path, monkeypatch):
     monkeypatch.setattr(maxt, "_common_point", lambda search, groups: None)
     code, out, err = run(capsys, "radon", intervals_path, "--pointset", "line")
     assert code == 1
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["status"] == "internal-error"
     assert doc["outcome"]["type"] == "AssertionError"
     assert "soundness alarm" in doc["outcome"]["message"]
@@ -778,7 +805,7 @@ def test_any_uncaught_exception_is_an_internal_error(capsys, intervals_path, mon
     monkeypatch.setitem(cli.build_parser().get_default("_handlers"), "radon", boom)
     code, out, err = run(capsys, "radon", intervals_path, "--pointset", "line")
     assert code == 1
-    doc = json.loads(out)
+    doc = loads(out)
     assert doc["command"] == "radon" and doc["instance"] == intervals_path
     assert doc["status"] == "internal-error"
     assert doc["outcome"] == {"type": "RuntimeError", "message": "handler exploded"}
@@ -787,7 +814,7 @@ def test_any_uncaught_exception_is_an_internal_error(capsys, intervals_path, mon
     monkeypatch.setattr(cli, "_cmd_oracle_check", boom)
     code, out, err = run(capsys, "oracle-check", "--trials", "1")
     assert code == 1
-    assert json.loads(out) == {
+    assert loads(out) == {
         "command": "oracle-check",
         "outcome": {"type": "RuntimeError", "message": "handler exploded"},
         "status": "internal-error",
@@ -1070,7 +1097,7 @@ def test_malformed_documents_get_an_answer_or_an_error(capsys, tmp_path, data, f
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err and "internal" not in err, (argv, err)
         if out:
-            doc = json.loads(out)
+            doc = loads(out)
             assert doc["status"] != "internal-error", (argv, doc)
         else:
             assert code == 1 and err.startswith("error: ") and err.count("\n") == 1

@@ -22,6 +22,7 @@ from maxminconv.hull import Polytope, hull_member, polytope
 from maxminconv.maxt import (
     CommonWitness,
     CounterexampleSubfamily,
+    TverbergPartition,
     _attainment,
     _common_point,
     _is_prime_power,
@@ -185,15 +186,13 @@ def test_witness_searches_check_no_bounds_below_entry(monkeypatch):
 
 def test_radon_interval_example():
     rp = radon_partition([point("0.2"), point("0.5"), point("0.9")])
-    assert rp.part1 == (0, 2)
-    assert rp.part2 == (1,)
+    assert rp.parts == ((0, 2), (1,))
     assert rp.witness == point("0.5")
 
 
 def test_radon_product_example():
     rp = radon_partition([point("0.3"), point("0.5"), point("0.7")], PRODUCT)
-    assert rp.part1 == (0, 2)
-    assert rp.part2 == (1,)
+    assert rp.parts == ((0, 2), (1,))
     assert rp.witness == point("0.5")
 
 
@@ -201,7 +200,7 @@ def test_radon_duplicated_points():
     dup = point("0.4", "0.6")
     rp = radon_partition([dup, dup, point("0.1", "0.1"), point("0.9", "0.9")])
     assert rp.witness == dup
-    assert 0 in rp.part1 and 1 in rp.part2
+    assert 0 in rp.parts[0] and 1 in rp.parts[1]
 
 
 def test_radon_random_instances_verified(rng):
@@ -212,9 +211,9 @@ def test_radon_random_instances_verified(rng):
             else:
                 pts = planted_join_instance(rng, 2)
             rp = radon_partition(pts, t)
-            assert not set(rp.part1) & set(rp.part2)
-            assert sorted(rp.part1 + rp.part2) == [0, 1, 2, 3]
-            for part in (rp.part1, rp.part2):
+            assert not set(rp.parts[0]) & set(rp.parts[1])
+            assert sorted(rp.parts[0] + rp.parts[1]) == [0, 1, 2, 3]
+            for part in rp.parts:
                 sub = Polytope(tuple(pts[i] for i in part))
                 assert hull_member_maxt(rp.witness, sub, t)
 
@@ -225,7 +224,7 @@ def test_radon_interval_instances_any_tnorm(rng):
         for _ in range(25):
             pts = [random_point(rng, 1, den=10) for _ in range(3)]
             rp = radon_partition(pts, t)
-            for part in (rp.part1, rp.part2):
+            for part in rp.parts:
                 sub = Polytope(tuple(pts[i] for i in part))
                 assert hull_member_maxt(rp.witness, sub, t)
 
@@ -247,7 +246,7 @@ def test_radon_resolution_exhausted_and_recovery():
         radon_partition(pts, PRODUCT, grid_step=Fraction(1))
     rp = radon_partition(pts, PRODUCT, grid_step=Fraction(1, 90))
     assert rp.witness == point("4/9", "8/15")
-    assert (rp.part1, rp.part2) == ((0, 3), (1, 2))
+    assert rp.parts == ((0, 3), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +572,21 @@ def test_tverberg_r2_delegates_to_radon():
     pts = [point("0.2"), point("0.5"), point("0.9")]
     tv = tverberg_search(pts, 2)
     rp = radon_partition(pts)
-    assert tv.parts == (rp.part1, rp.part2)
+    assert tv.parts == rp.parts
     assert tv.witness == rp.witness
+
+
+@pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.tag)
+def test_two_result_types_answer_the_four_questions(rng, tnorm):
+    """Radon is Tverberg with r = 2, and a centerpoint is a one-group common point."""
+    pts = planted_join_instance(rng, 2)
+    rp = radon_partition(pts, tnorm)
+    assert isinstance(rp, TverbergPartition) and len(rp.parts) == 2
+    assert tverberg_search(pts, 2, tnorm) == rp
+    cp = centerpoint([point("0.1"), point("0.2"), point("0.8"), point("0.9")], tnorm)
+    assert isinstance(cp, CommonWitness)
+    assert cp.point == point("0.2") and len(cp.coefficients) == 1
+    assert len(cp.coefficients[0]) == 4
 
 
 def test_tverberg_interval_example():
@@ -719,7 +731,7 @@ def test_witness_searches_run_without_the_grid_scan(rng, monkeypatch):
     # 40-odd grid values per coordinate: a scan would visit some 40^6 points
     assert len({c for p in pts for c in p.coords}) >= 40
     rp = radon_partition(pts)
-    for part in (rp.part1, rp.part2):
+    for part in rp.parts:
         assert inside(rp.witness, [pts[i] for i in part])
 
     core = random_point(rng, 4)
@@ -748,7 +760,7 @@ def test_witness_searches_run_without_the_grid_scan(rng, monkeypatch):
     for tnorm in (PRODUCT, LUKASIEWICZ):
         pts = planted_join_instance(rng, 2)
         rp = radon_partition(pts, tnorm)
-        for part in (rp.part1, rp.part2):
+        for part in rp.parts:
             assert inside(rp.witness, [pts[i] for i in part], tnorm)
 
 
@@ -792,10 +804,10 @@ def test_large_denominator_searches_finish_within_budget():
     assert common_denominator(c for q in pts for c in q.coords) > 10**6
     start = time.perf_counter()
     rp = radon_partition(pts, PRODUCT)
-    for part in (rp.part1, rp.part2):
+    for part in rp.parts:
         assert hull_member_maxt(rp.witness, Polytope(tuple(pts[i] for i in part)), PRODUCT)
     rp = radon_partition(pts, MIN)
-    for part in (rp.part1, rp.part2):
+    for part in rp.parts:
         assert hull_member(rp.witness, Polytope(tuple(pts[i] for i in part))).member
 
     core = pt(505, 506, 507)
