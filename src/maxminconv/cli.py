@@ -1,10 +1,11 @@
 """Command line interface.
 
 Every subcommand reads a JSON instance file (see the instance module
-for the schema), runs one library operation and prints a JSON result
-document.  Positive results carry a verification block in which each
-claim is re-checked by an independent predicate before emission; a
-failed re-check turns the run into an error instead of output.
+for the schema), runs one library operation and prints its result
+document as one line of compact JSON; ``python -m json.tool`` indents
+it.  Positive results carry a verification block in which each claim
+is re-checked by an independent predicate before emission; a failed
+re-check turns the run into an error instead of output.
 
 Each instance subcommand is one ``_COMMANDS`` entry: its handler, help
 text, options and whether it is specific to min arithmetic.  ``main``
@@ -799,6 +800,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(doc: dict[str, Any]) -> None:
+    """Print a result document as one line of compact JSON."""
+    print(json.dumps(doc, separators=(",", ":")))
+
+
 def _internal_error(doc: dict[str, Any], exc: Exception) -> int:
     """Print an uncaught exception as an "internal-error" document.
 
@@ -808,7 +814,7 @@ def _internal_error(doc: dict[str, Any], exc: Exception) -> int:
     """
     doc["outcome"] = {"type": type(exc).__name__, "message": str(exc)}
     doc["status"] = "internal-error"
-    print(json.dumps(doc, indent=2))
+    _emit(doc)
     print("error: internal error: %s" % exc, file=sys.stderr)
     return EXIT_ERROR
 
@@ -828,7 +834,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             doc = _fmt(doc)
         except Exception as exc:
             return _internal_error({"command": args.command}, exc)
-        print(json.dumps(doc, indent=2))
+        _emit(doc)
         return code
 
     doc: dict[str, Any] = {"command": args.command, "instance": args.instance}
@@ -851,7 +857,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 outcome.update(grid_step=exc.grid_step, grid_size=exc.grid_size)
         doc["outcome"] = _fmt(outcome)
         doc["status"] = "negative"
-        print(json.dumps(doc, indent=2))
+        _emit(doc)
         return EXIT_NEGATIVE
     except (DomainError, PreconditionError, InvalidDiagram, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -868,12 +874,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     doc["verification"] = ver.block()
     if not ver.passed:
         doc["status"] = "verification-failed"
-        print(json.dumps(doc, indent=2))
+        _emit(doc)
         print("error: a verification re-check failed; refusing the result",
               file=sys.stderr)
         return EXIT_ERROR
     doc["status"] = "ok"
-    print(json.dumps(doc, indent=2))
+    _emit(doc)
     return EXIT_OK
 
 

@@ -207,13 +207,17 @@ def _ordered_pieces(lower: Point, upper: Point, bounds: SemiringBounds) -> tuple
     The cuts are the bounds and the 2d endpoint coordinates, so no
     endpoint coordinate lies strictly inside a cut interval [t0, t1]:
     coordinate i moves on it when lo_i <= t0 and t1 <= up_i, is low when
-    t1 <= lo_i, and is high otherwise.
+    t1 <= lo_i, and is high otherwise.  Each cut's point is built once,
+    as ``segment_point`` would build it, and ends one piece and starts
+    the next.
     """
     cuts = [bounds.lo, *sorted(lower.coords + upper.coords), bounds.hi]
+    pairs = list(zip(lower.coords, upper.coords))
+    ends = [Point(tuple(max(lo_i, min(t, up_i)) for lo_i, up_i in pairs)) for t in cuts]
     pieces = []
-    for t0, t1 in zip(cuts, cuts[1:]):
+    for k, (t0, t1) in enumerate(zip(cuts, cuts[1:])):
         m_set, l_set, h_set = [], [], []
-        for i, (lo_i, up_i) in enumerate(zip(lower.coords, upper.coords)):
+        for i, (lo_i, up_i) in enumerate(pairs):
             if lo_i <= t0 and t1 <= up_i:
                 m_set.append(i)
             elif t1 <= lo_i:
@@ -224,8 +228,8 @@ def _ordered_pieces(lower: Point, upper: Point, bounds: SemiringBounds) -> tuple
             SegmentPiece(
                 beta_lo=t0,
                 beta_hi=t1,
-                start=segment_point(lower, upper, t0, bounds),
-                end=segment_point(lower, upper, t1, bounds),
+                start=ends[k],
+                end=ends[k + 1],
                 m_indices=frozenset(m_set),
                 l_indices=frozenset(l_set),
                 h_indices=frozenset(h_set),

@@ -418,14 +418,14 @@ WITNESS_ARGV = [
 ]
 
 
-def _run_forged_witness(capsys, tmp_path, monkeypatch, argv, *options):
-    """Run argv with the search forged to end at (0.99, 0.99).
+def _forge_witness(tmp_path, monkeypatch):
+    """Forge the search to end at (0.99, 0.99); returns the instance path.
 
-    That point lies outside every hull below.  ``maxt._lex_first`` is
-    patched to end there, and the search's integer self-check
+    That point lies outside every hull of the instance.  ``maxt._lex_first``
+    is patched to end there, and the search's integer self-check
     (``maxt._attainment``) to accept it with every coefficient hi and
     every attainment set full, so only the CLI's own re-check can refuse
-    the witness.  Returns the exit code and the document.
+    the witness.
     """
     from maxminconv import maxt
 
@@ -447,7 +447,13 @@ def _run_forged_witness(capsys, tmp_path, monkeypatch, argv, *options):
 
     monkeypatch.setattr(maxt, "_lex_first", forged_end)
     monkeypatch.setattr(maxt, "_attainment", accept)
-    code, out, _ = run_json(capsys, argv[0], str(path), *argv[1:], *options)
+    return str(path)
+
+
+def _run_forged_witness(capsys, tmp_path, monkeypatch, argv, *options):
+    """Run argv on the forged search; returns the exit code and the document."""
+    path = _forge_witness(tmp_path, monkeypatch)
+    code, out, _ = run_json(capsys, argv[0], path, *argv[1:], *options)
     return code, out
 
 
@@ -1294,7 +1300,7 @@ def test_render_segment_to_stdout_is_raw_svg(capsys, instance_path):
     )
     assert code == 0
     assert out.startswith("<svg")
-    assert out.rstrip().endswith("</svg>")
+    assert out.endswith("</svg>\n")
     assert "polyline" in out
 
 
@@ -1397,3 +1403,62 @@ def test_render_segment_marks_the_corner_of_incomparable_endpoints(capsys, insta
     )
     assert code == 0
     assert ">m</text>" not in out
+
+
+# ---------------------------------------------------------------------------
+# emission: one line of compact JSON per document
+# ---------------------------------------------------------------------------
+
+
+class _CountingJson:
+    """Stands in for ``cli.json`` and counts the ``dumps`` calls."""
+
+    def __init__(self):
+        self.dumps_calls = 0
+
+    def dumps(self, *args, **kwargs):
+        self.dumps_calls += 1
+        return json.dumps(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(json, attr)
+
+
+# case -> exit code, status, argv
+EMITTED = {
+    "ok": (0, "ok", ("radon", "{intervals}", "--pointset", "line")),
+    "negative": (2, "negative", ("helly", "{instance}", "--family", "apart")),
+    "verification-failed": (1, "verification-failed", ("radon", "{forged}", "--pointset", "radon")),
+    "internal-error": (1, "internal-error", ("radon", "{intervals}", "--pointset", "line")),
+    "oracle-check": (0, "ok", ("oracle-check", "--seed", "3", "--trials", "2")),
+    "render --svg": (0, "ok", ("render", "{instance}", "--svg", "{svg}")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMITTED))
+def test_each_document_is_one_line_of_compact_json(
+    capsys, tmp_path, monkeypatch, instance_path, intervals_path, case
+):
+    """Stdout is the compact form of its own JSON value, from one ``dumps`` call.
+
+    The verification failure reuses the forged witness of the forward
+    check; the internal error is the soundness alarm of a search that
+    finds no common point.
+    """
+    from maxminconv import maxt
+
+    expected_code, status, template = EMITTED[case]
+    paths = {"instance": instance_path, "intervals": intervals_path,
+             "svg": str(tmp_path / "figure.svg")}
+    if case == "verification-failed":
+        paths["forged"] = _forge_witness(tmp_path, monkeypatch)
+    if case == "internal-error":
+        monkeypatch.setattr(maxt, "_common_point", lambda search, groups: None)
+    counter = _CountingJson()
+    monkeypatch.setattr(cli, "json", counter)
+    code, out, _ = run(capsys, *(arg.format(**paths) for arg in template))
+    assert code == expected_code
+    assert out == json.dumps(loads(out), separators=(",", ":")) + "\n"
+    assert counter.dumps_calls == 1
+    assert loads(out)["status"] == status
+

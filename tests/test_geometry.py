@@ -188,6 +188,44 @@ def test_piece_sets_match_the_midpoint_rule(pair):
             assert piece.h_indices == {i for i in range(d) if mid > upper[i]}
 
 
+@st.composite
+def grid_pairs(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    q = draw(st.sampled_from((4, 8)))
+    coords = st.integers(min_value=0, max_value=q).map(lambda k: Fraction(k, q))
+    return tuple(Point(tuple(draw(coords) for _ in range(d))) for _ in range(2))
+
+
+@given(grid_pairs())
+@example((point("1/4", "1/2", "1/2"), point("3/4", "1/2", "1")))
+@example((point("7/8", "1/2", "3/8"), point("1/8", "1/2", "3/8")))
+@example((point("1/2", "1/4", "0", "1"), point("1/4", "1/2", "0", "1")))
+@settings(max_examples=200, deadline=None)
+def test_piece_ends_match_segment_point(pair):
+    """Every piece end is ``segment_point`` of its half at the piece's cut.
+
+    A half traversed from lower to upper starts at beta_lo and ends at
+    beta_hi; a half traversed backwards (reversed endpoints, or the
+    second half of an incomparable pair) starts at beta_hi.  The pieces
+    chain from x to y: each starts where the one before it ends.  The
+    examples are comparable, reversed and incomparable pairs with
+    repeated coordinates.
+    """
+    x, y = pair
+    dec = segment_decompose(x, y)
+    halves = _comparable_halves(x, y)
+    n = 2 * x.dim + 1
+    for h, (lower, upper) in enumerate(halves):
+        forward = h == 0 and (len(halves) == 2 or x.leq(y))
+        for piece in dec.pieces[h * n:(h + 1) * n]:
+            at_lo = segment_point(lower, upper, piece.beta_lo)
+            at_hi = segment_point(lower, upper, piece.beta_hi)
+            assert (piece.start, piece.end) == ((at_lo, at_hi) if forward else (at_hi, at_lo))
+    assert dec.pieces[0].start == x and dec.pieces[-1].end == y
+    for before, after in zip(dec.pieces, dec.pieces[1:]):
+        assert before.end == after.start
+
+
 def test_piece_classification_constant_and_consistent(rng):
     """Each piece's M/L/H sets partition the coordinates and match its image."""
     for _ in range(100):
