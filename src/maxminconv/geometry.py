@@ -12,6 +12,14 @@ endpoint coordinates).  On a piece, each coordinate either moves with
 beta (the M set), is locked at x_i from below (L) or at y_i from above
 (H).  Incomparable endpoints split at the corner m = x v y into two
 comparable halves [x, m] and [y, m], the second traversed backwards.
+
+``segment_decompose`` never compares or builds a Fraction.  It writes
+the bounds and the 2d endpoint coordinates once as integer numerators
+over their least common denominator, and every cut, piece end and corner
+coordinate is one of those values, so it orders, clips and classifies
+the integers and maps each back to its input Fraction.
+``segment_contains`` stays on Fractions: it is an independent re-check
+of the decomposition.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .core import (
     SemiringBounds,
     UNIT,
     as_value,
+    common_denominator,
 )
 
 
@@ -90,12 +99,14 @@ def _check_same_dim(a: Point, b: Point) -> None:
         )
 
 
+def _out_of_bounds(c: Fraction, p: Point, bounds: SemiringBounds) -> PreconditionError:
+    return PreconditionError("coordinate %s of %s outside bounds %s" % (c, p, bounds))
+
+
 def _check_bounds(p: Point, bounds: SemiringBounds) -> None:
     for c in p.coords:
         if not bounds.contains(c):
-            raise PreconditionError(
-                "coordinate %s of %s outside bounds %s" % (c, p, bounds)
-            )
+            raise _out_of_bounds(c, p, bounds)
 
 
 def segment_point(x: Point, y: Point, beta: RationalLike, bounds: SemiringBounds = UNIT) -> Point:
@@ -201,21 +212,29 @@ class SegmentDecomposition:
         return total
 
 
-def _ordered_pieces(lower: Point, upper: Point, bounds: SemiringBounds) -> tuple[SegmentPiece, ...]:
+def _ordered_pieces(
+    lower: tuple[int, ...], upper: tuple[int, ...], lo: int, hi: int, value: dict[int, Fraction]
+) -> tuple[SegmentPiece, ...]:
     """Pieces of the segment lower <= upper, from lower to upper.
 
-    The cuts are the bounds and the 2d endpoint coordinates, so no
-    endpoint coordinate lies strictly inside a cut interval [t0, t1]:
-    coordinate i moves on it when lo_i <= t0 and t1 <= up_i, is low when
-    t1 <= lo_i, and is high otherwise.  Each cut's point is built once,
-    as ``segment_point`` would build it, and ends one piece and starts
-    the next.
+    The endpoints and the bounds lo, hi come as integer numerators over
+    one denominator, and ``value`` maps each numerator back to its
+    Fraction.  The cuts are the bounds and the 2d endpoint coordinates,
+    so no endpoint coordinate lies strictly inside a cut interval
+    [t0, t1]: coordinate i moves on it when lo_i <= t0 and t1 <= up_i,
+    is low when t1 <= lo_i, and is high otherwise.  The point at cut t
+    is ``segment_point``'s max(lo_i, min(t, up_i)): lower at cut lo, and
+    from one cut to the next only the moving coordinates change, to t1.
+    So every cut and coordinate is an input value, looked up in
+    ``value``, and each cut's point is built once: it ends one piece
+    and starts the next.
     """
-    cuts = [bounds.lo, *sorted(lower.coords + upper.coords), bounds.hi]
-    pairs = list(zip(lower.coords, upper.coords))
-    ends = [Point(tuple(max(lo_i, min(t, up_i)) for lo_i, up_i in pairs)) for t in cuts]
+    cuts = [lo, *sorted(lower + upper), hi]
+    pairs = list(zip(lower, upper))
+    row = [value[lo_i] for lo_i in lower]
+    start = Point(tuple(row))
     pieces = []
-    for k, (t0, t1) in enumerate(zip(cuts, cuts[1:])):
+    for t0, t1 in zip(cuts, cuts[1:]):
         m_set, l_set, h_set = [], [], []
         for i, (lo_i, up_i) in enumerate(pairs):
             if lo_i <= t0 and t1 <= up_i:
@@ -224,17 +243,22 @@ def _ordered_pieces(lower: Point, upper: Point, bounds: SemiringBounds) -> tuple
                 l_set.append(i)
             else:
                 h_set.append(i)
+        beta_hi = value[t1]
+        for i in m_set:
+            row[i] = beta_hi
+        end = Point(tuple(row))
         pieces.append(
             SegmentPiece(
-                beta_lo=t0,
-                beta_hi=t1,
-                start=ends[k],
-                end=ends[k + 1],
+                beta_lo=value[t0],
+                beta_hi=beta_hi,
+                start=start,
+                end=end,
                 m_indices=frozenset(m_set),
                 l_indices=frozenset(l_set),
                 h_indices=frozenset(h_set),
             )
         )
+        start = end
     return tuple(pieces)
 
 
@@ -246,19 +270,38 @@ def _backwards(pieces: tuple[SegmentPiece, ...]) -> tuple[SegmentPiece, ...]:
     )
 
 
+def _leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(ai <= bi for ai, bi in zip(a, b))
+
+
 def segment_decompose(x: Point, y: Point, bounds: SemiringBounds = UNIT) -> SegmentDecomposition:
-    """Decompose the segment from x to y, any relative order of endpoints."""
+    """Decompose the segment from x to y, any relative order of endpoints.
+
+    Refuses a dimension mismatch first, then the first coordinate of x,
+    and then of y, that lies outside the bounds, as ``_check_bounds``
+    words it.  The rest runs on integer numerators (module docstring).
+    """
     _check_same_dim(x, y)
-    _check_bounds(x, bounds)
-    _check_bounds(y, bounds)
+    values = (bounds.lo, bounds.hi, *x.coords, *y.coords)
+    denom = common_denominator(values)
+    lo, hi, *nums = (v.numerator * (denom // v.denominator) for v in values)
+    xs, ys = tuple(nums[:len(x)]), tuple(nums[len(x):])
+    for p, encoded in ((x, xs), (y, ys)):
+        for c, n in zip(p.coords, encoded):
+            if not lo <= n <= hi:
+                raise _out_of_bounds(c, p, bounds)
+    value = dict(zip((lo, hi, *nums), values))
     corner = None
-    if x.leq(y):
-        pieces = _ordered_pieces(x, y, bounds)
-    elif y.leq(x):
-        pieces = _backwards(_ordered_pieces(y, x, bounds))
+    if _leq(xs, ys):
+        pieces = _ordered_pieces(xs, ys, lo, hi, value)
+    elif _leq(ys, xs):
+        pieces = _backwards(_ordered_pieces(ys, xs, lo, hi, value))
     else:
-        corner = x.join(y)
-        pieces = _ordered_pieces(x, corner, bounds) + _backwards(_ordered_pieces(y, corner, bounds))
+        top = tuple(map(max, xs, ys))
+        corner = Point(tuple([value[c] for c in top]))
+        pieces = _ordered_pieces(xs, top, lo, hi, value) + _backwards(
+            _ordered_pieces(ys, top, lo, hi, value)
+        )
     return SegmentDecomposition(x, y, pieces, corner)
 
 

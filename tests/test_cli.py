@@ -1,5 +1,6 @@
 """CLI plumbing: exit codes, JSON documents, verification blocks, overrides."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -182,6 +183,49 @@ def test_distance_decomposes_the_segment_twice(capsys, instance_path, monkeypatc
     assert code == 0 and doc["verification"]["passed"] is True
     p, q = (cli.instance_from_dict(BASE).lookup("points", n) for n in (x, y))
     assert calls == [(p, q), (q, p)]
+
+
+@pytest.mark.parametrize("x, y, halves", [("a", "b", 1), ("b", "a", 1), ("a", "c", 2)])
+def test_segment_rechecks_each_piece_end_once(capsys, tmp_path, monkeypatch, x, y, halves):
+    """Consecutive pieces share their end point, so a comparable half of
+    2d + 1 pieces has 2d + 2 distinct ends, each re-checked once."""
+    path = tmp_path / "d4.json"
+    points = {"a": ["1/4", "1/2", "0", "1"], "b": ["3/4", "1/2", "1/2", "1"],
+              "c": ["1/2", "1/4", "1", "0"]}
+    path.write_text(json.dumps({"schema": 1, "points": points}))
+    calls = []
+    original = cli.segment_contains
+
+    def spy(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(cli, "segment_contains", spy)
+    code, doc, _ = run_json(capsys, "segment", str(path), "--x", x, "--y", y)
+    assert code == 0 and doc["verification"]["passed"] is True
+    assert len(calls) == (2 * 4 + 2) * halves
+    assert len(doc["result"]["pieces"]) == (2 * 4 + 1) * halves
+
+
+def test_segment_refuses_a_shared_end_moved_off_the_segment(capsys, instance_path, monkeypatch):
+    """A forged decomposition moves the end that pieces 2 and 3 share to
+    (3/5, 1/2), which is off the segment; the pieces still chain."""
+    original = cli.segment_decompose
+    forged = geometry.point("3/5", "1/2")
+
+    def forge(x, y, bounds):
+        dec = original(x, y, bounds)
+        pieces = list(dec.pieces)
+        assert pieces[2].end is pieces[3].start
+        pieces[2] = dataclasses.replace(pieces[2], end=forged)
+        pieces[3] = dataclasses.replace(pieces[3], start=forged)
+        return dataclasses.replace(dec, pieces=tuple(pieces))
+
+    monkeypatch.setattr(cli, "segment_decompose", forge)
+    code, doc, _ = run_json(capsys, "segment", instance_path, "--x", "x", "--y", "y")
+    assert code == 1 and doc["status"] == "verification-failed"
+    failed = [c["name"] for c in doc["verification"]["checks"] if not c["passed"]]
+    assert failed == ["every piece endpoint is on the segment"]
 
 
 @pytest.mark.parametrize(

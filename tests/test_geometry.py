@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from maxminconv.core import UNIT, PreconditionError
+from maxminconv.core import UNIT, PreconditionError, SemiringBounds
 from maxminconv.geometry import (
     Point,
     RadicalSum,
@@ -154,29 +154,63 @@ def _comparable_halves(x, y):
     return [(x, x.join(y)), (y, x.join(y))]
 
 
+BOUNDS = (UNIT, SemiringBounds("-1", "2"), SemiringBounds("1/3", "5/2"))
+
+# 30-digit primes: coordinates over two of them have coprime denominators
+PRIMES = (10**29 + 319, 10**29 + 379, 10**29 + 459, 10**30 - 11)
+
+
+def _coordinates(draw, bounds, coarse):
+    """Coordinates of one pair: coarse ones alone, or mixed with
+    denominators up to 97, or with 30-digit prime denominators.
+
+    Coarse coordinates repeat, which gives degenerate pieces; with the
+    other two the common denominator exceeds every input's own.
+    """
+    mixed = st.fractions(min_value=bounds.lo, max_value=bounds.hi, max_denominator=97)
+    large = st.sampled_from(PRIMES).flatmap(
+        lambda q: st.integers(math.ceil(bounds.lo * q), math.floor(bounds.hi * q)).map(
+            lambda k: Fraction(k, q)
+        )
+    )
+    return draw(st.sampled_from((coarse, st.one_of(coarse, mixed), st.one_of(coarse, large))))
+
+
 @st.composite
 def endpoint_pairs(draw):
+    bounds = draw(st.sampled_from(BOUNDS))
     d = draw(st.integers(min_value=1, max_value=4))
-    coords = st.fractions(min_value=0, max_value=1, max_denominator=4)
-    return tuple(Point(tuple(draw(coords) for _ in range(d))) for _ in range(2))
+    coarse = st.fractions(min_value=bounds.lo, max_value=bounds.hi, max_denominator=4)
+    coords = _coordinates(draw, bounds, coarse)
+    return (*(Point(tuple(draw(coords) for _ in range(d))) for _ in range(2)), bounds)
+
+
+def _assert_ends_on_the_segment(dec, bounds):
+    """``segment_contains``, on Fractions, holds every piece end."""
+    for piece in dec.pieces:
+        assert segment_contains(dec.x, dec.y, piece.start, bounds)
+        assert segment_contains(dec.x, dec.y, piece.end, bounds)
 
 
 @given(endpoint_pairs())
-@example((point("1/2", "1/4"), point("1/4", "1/2")))
-@example((point("0", "1/2", "1/2"), point("1", "1/2", "3/4")))
+@example((point("1/2", "1/4"), point("1/4", "1/2"), UNIT))
+@example((point("0", "1/2", "1/2"), point("1", "1/2", "3/4"), UNIT))
+@example((point("-1", "1/97", "2"), point("1/3", "-1/2", "2"), BOUNDS[1]))
+@example((point(Fraction(2, PRIMES[0]), "1/3"), point("1/2", Fraction(7, PRIMES[1])), UNIT))
 @settings(max_examples=200, deadline=None)
-def test_piece_sets_match_the_midpoint_rule(pair):
+def test_piece_sets_match_the_midpoint_rule(case):
     """Each piece's M/L/H sets are those of its interval's midpoint.
 
     At the midpoint, coordinate i moves when lower_i <= mid <= upper_i,
     is low when mid < lower_i and high when mid > upper_i.  Coarse
     coordinates repeat, so degenerate pieces (beta_lo == beta_hi) and
-    incomparable endpoints are both frequent; the two explicit examples
+    incomparable endpoints are both frequent; the first two examples
     have both (incomparable) and repeated cuts on a comparable pair.
+    The bounds are [0, 1], [-1, 2] or [1/3, 5/2].
     """
-    x, y = pair
+    x, y, bounds = case
     d = x.dim
-    dec = segment_decompose(x, y)
+    dec = segment_decompose(x, y, bounds)
     halves = _comparable_halves(x, y)
     n = 2 * d + 1
     assert len(dec.pieces) == n * len(halves)
@@ -186,44 +220,98 @@ def test_piece_sets_match_the_midpoint_rule(pair):
             assert piece.m_indices == {i for i in range(d) if lower[i] <= mid <= upper[i]}
             assert piece.l_indices == {i for i in range(d) if mid < lower[i]}
             assert piece.h_indices == {i for i in range(d) if mid > upper[i]}
+    _assert_ends_on_the_segment(dec, bounds)
 
 
 @st.composite
 def grid_pairs(draw):
+    bounds = draw(st.sampled_from(BOUNDS))
     d = draw(st.integers(min_value=1, max_value=5))
     q = draw(st.sampled_from((4, 8)))
-    coords = st.integers(min_value=0, max_value=q).map(lambda k: Fraction(k, q))
-    return tuple(Point(tuple(draw(coords) for _ in range(d))) for _ in range(2))
+    levels = st.integers(min_value=math.ceil(bounds.lo * q), max_value=math.floor(bounds.hi * q))
+    coords = _coordinates(draw, bounds, levels.map(lambda k: Fraction(k, q)))
+    return (*(Point(tuple(draw(coords) for _ in range(d))) for _ in range(2)), bounds)
 
 
 @given(grid_pairs())
-@example((point("1/4", "1/2", "1/2"), point("3/4", "1/2", "1")))
-@example((point("7/8", "1/2", "3/8"), point("1/8", "1/2", "3/8")))
-@example((point("1/2", "1/4", "0", "1"), point("1/4", "1/2", "0", "1")))
+@example((point("1/4", "1/2", "1/2"), point("3/4", "1/2", "1"), UNIT))
+@example((point("7/8", "1/2", "3/8"), point("1/8", "1/2", "3/8"), UNIT))
+@example((point("1/2", "1/4", "0", "1"), point("1/4", "1/2", "0", "1"), UNIT))
+@example((point("5/2", "1/3", "3/4"), point("1/3", Fraction(9, PRIMES[3]) + 1, "7/5"), BOUNDS[2]))
 @settings(max_examples=200, deadline=None)
-def test_piece_ends_match_segment_point(pair):
+def test_piece_ends_match_segment_point(case):
     """Every piece end is ``segment_point`` of its half at the piece's cut.
 
     A half traversed from lower to upper starts at beta_lo and ends at
     beta_hi; a half traversed backwards (reversed endpoints, or the
     second half of an incomparable pair) starts at beta_hi.  The pieces
     chain from x to y: each starts where the one before it ends.  The
-    examples are comparable, reversed and incomparable pairs with
-    repeated coordinates.
+    first three examples are comparable, reversed and incomparable pairs
+    with repeated coordinates.
     """
-    x, y = pair
-    dec = segment_decompose(x, y)
+    x, y, bounds = case
+    dec = segment_decompose(x, y, bounds)
     halves = _comparable_halves(x, y)
     n = 2 * x.dim + 1
     for h, (lower, upper) in enumerate(halves):
         forward = h == 0 and (len(halves) == 2 or x.leq(y))
         for piece in dec.pieces[h * n:(h + 1) * n]:
-            at_lo = segment_point(lower, upper, piece.beta_lo)
-            at_hi = segment_point(lower, upper, piece.beta_hi)
+            at_lo = segment_point(lower, upper, piece.beta_lo, bounds)
+            at_hi = segment_point(lower, upper, piece.beta_hi, bounds)
             assert (piece.start, piece.end) == ((at_lo, at_hi) if forward else (at_hi, at_lo))
     assert dec.pieces[0].start == x and dec.pieces[-1].end == y
     for before, after in zip(dec.pieces, dec.pieces[1:]):
         assert before.end == after.start
+    _assert_ends_on_the_segment(dec, bounds)
+
+
+# bounds, x, y -> the refusal: a dimension mismatch first, then the
+# first coordinate of x, and then of y, that is out of bounds
+REFUSALS = [
+    (UNIT, ("0", "4/3", "-1/7"), ("1/2", "1/2", "1/2"),
+     "coordinate 4/3 of (0, 4/3, -1/7) outside bounds [0, 1]"),
+    (UNIT, ("1/2", "1/2", "1/2"), ("-1/7", "1", "4/3"),
+     "coordinate -1/7 of (-1/7, 1, 4/3) outside bounds [0, 1]"),
+    (UNIT, ("1", "0", "-1/7"), ("4/3", "1", "1"),
+     "coordinate -1/7 of (1, 0, -1/7) outside bounds [0, 1]"),
+    (UNIT, ("2", "0"), ("1", "1", "1"), "dimension mismatch: 2 vs 3"),
+    (BOUNDS[1], ("2", "-3/2", "5"), ("-1", "0", "0"),
+     "coordinate -3/2 of (2, -3/2, 5) outside bounds [-1, 2]"),
+    (BOUNDS[2], ("1/3", "1/3", "1"), ("3", "1/4", "5/2"),
+     "coordinate 3 of (3, 1/4, 5/2) outside bounds [1/3, 5/2]"),
+    (BOUNDS[2], ("1/2", "5/2", "0"), ("1", "1", "1/4"),
+     "coordinate 0 of (1/2, 5/2, 0) outside bounds [1/3, 5/2]"),
+    (BOUNDS[2], ("1/3", "2", "1"), ("1/3", "2", "5/2", "26/10"),
+     "dimension mismatch: 3 vs 4"),
+]
+
+
+@pytest.mark.parametrize("bounds, x, y, message", REFUSALS)
+def test_decompose_refusal_names_the_first_coordinate_out_of_bounds(bounds, x, y, message):
+    with pytest.raises(PreconditionError) as refusal:
+        segment_decompose(point(*x), point(*y), bounds)
+    assert str(refusal.value) == message
+
+
+def test_decomposition_compares_no_fractions(monkeypatch):
+    """The decomposition orders integer numerators, never Fractions."""
+    x = point("0.7", "0.2", "1/3", "0", "1", "5/8")
+    y = point("0.3", "0.6", "1/3", "1/2", "0", "7/8")
+    expected = segment_decompose(x, y)
+    assert expected.mode == "concatenated"
+    calls = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        def counting(a, b, name=name, original=getattr(Fraction, name)):
+            calls.append(name)
+            return original(a, b)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    assert Fraction(1, 3) < Fraction(1, 2) and calls == ["__lt__"]
+    calls.clear()
+    got = segment_decompose(x, y)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == expected
 
 
 def test_piece_classification_constant_and_consistent(rng):
